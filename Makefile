@@ -31,11 +31,17 @@ lint-json:
 	code=$$?; if [ $$code -ne 0 ] && [ $$code -ne 1 ]; then exit $$code; fi
 	@echo "lint-json: wrote lint.json"
 
+# perfbench is its own module (it pins the benchmark's dependencies), so the
+# root ./... pattern skips it; build and vet it explicitly so an API break in
+# the packages it drives fails here rather than when the benchmark runs. Its
+# binary is discarded: the benchmark builds its own.
 build:
 	$(GO) build ./...
+	cd perfbench && $(GO) build -o /dev/null ./...
 
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -117,7 +123,7 @@ smoke-serve:
 # processes: record a gendata chain as an ingest stream, boot chainauditd
 # with the same CSV as the batch reference, replay the stream into a fresh
 # data set, and diff the streamed audits byte-for-byte against the batch
-# ones — full chain and sliding window.
+# ones (ppe, lowfee, darkfee) — full chain and sliding window.
 smoke-stream:
 	$(GO) build -o /tmp/chainauditd ./cmd/chainauditd
 	$(GO) build -o /tmp/streamfeed ./cmd/streamfeed
@@ -137,7 +143,8 @@ smoke-stream:
 	ADDR=$$(cat /tmp/chainaudit-stream-addr) && \
 	/tmp/streamfeed replay -in /tmp/chainaudit-stream.jsonl -url "http://$$ADDR" -dataset live && \
 	curl -sf "http://$$ADDR/v1/healthz" | grep -q '"watermark"' && \
-	for q in 'ppe?format=text' 'lowfee?format=text' 'ppe?format=text&window=20' 'lowfee?format=text&window=20'; do \
+	for q in 'ppe?format=text' 'lowfee?format=text' 'darkfee?format=text&pool=F2Pool' \
+		'ppe?format=text&window=20' 'lowfee?format=text&window=20' 'darkfee?format=text&pool=F2Pool&window=20'; do \
 		curl -sf -X POST "http://$$ADDR/v1/audits/$$q&dataset=main" > /tmp/chainaudit-stream-batch.txt && \
 		curl -sf -X POST "http://$$ADDR/v1/audits/$$q&dataset=live" > /tmp/chainaudit-stream-live.txt && \
 		cmp /tmp/chainaudit-stream-batch.txt /tmp/chainaudit-stream-live.txt || \
@@ -149,7 +156,8 @@ smoke-stream:
 # watcher observes into chainauditd over HTTP, teeing its own recording;
 # streamfeed then replays that recording into a second data set. The live
 # feed, the replay of its recording, and the CSV-loaded batch reference must
-# all serve byte-identical audits — full chain and sliding window.
+# all serve byte-identical audits (ppe, lowfee, darkfee) — full chain and
+# sliding window.
 smoke-live:
 	$(GO) build -o /tmp/chainauditd ./cmd/chainauditd
 	$(GO) build -o /tmp/chainobserver ./cmd/chainobserver
@@ -169,7 +177,8 @@ smoke-live:
 	/tmp/chainobserver -chain /tmp/chainaudit-live-chain.csv -url "http://$$ADDR" \
 		-dataset live -record /tmp/chainaudit-live.jsonl -batch 16 && \
 	/tmp/streamfeed replay -in /tmp/chainaudit-live.jsonl -url "http://$$ADDR" -dataset replay && \
-	for q in 'ppe?format=text' 'lowfee?format=text' 'ppe?format=text&window=20' 'lowfee?format=text&window=20'; do \
+	for q in 'ppe?format=text' 'lowfee?format=text' 'darkfee?format=text&pool=F2Pool' \
+		'ppe?format=text&window=20' 'lowfee?format=text&window=20' 'darkfee?format=text&pool=F2Pool&window=20'; do \
 		curl -sf -X POST "http://$$ADDR/v1/audits/$$q&dataset=live" > /tmp/chainaudit-live-feed.txt && \
 		curl -sf -X POST "http://$$ADDR/v1/audits/$$q&dataset=replay" > /tmp/chainaudit-live-replay.txt && \
 		curl -sf -X POST "http://$$ADDR/v1/audits/$$q&dataset=main" > /tmp/chainaudit-live-batch.txt && \
@@ -186,7 +195,8 @@ smoke-live:
 # second set, kill -9 the daemon, restart it over the same directory, and
 # resume the observer against the recovered watermark. The resumed set, the
 # WAL-recovered reference set, and the CSV-loaded batch set must serve
-# byte-identical audits — full chain and sliding window — and the resumed
+# byte-identical audits (ppe, lowfee, darkfee) — full chain and sliding
+# window — and the resumed
 # set's snapshot and block counts must equal the uninterrupted one's, which
 # pins every snapshot frame (zero lost, zero duplicated).
 smoke-crash:
@@ -238,7 +248,8 @@ smoke-crash:
 	if [ -z "$$LEN_LIVE" ] || [ "$$LEN_LIVE" != "$$LEN_REF" ]; then \
 		echo "smoke-crash: resumed index length '$$LEN_LIVE' != uninterrupted '$$LEN_REF'"; exit 1; \
 	fi; \
-	for q in 'ppe?format=text' 'lowfee?format=text' 'ppe?format=text&window=20' 'lowfee?format=text&window=20'; do \
+	for q in 'ppe?format=text' 'lowfee?format=text' 'darkfee?format=text&pool=F2Pool' \
+		'ppe?format=text&window=20' 'lowfee?format=text&window=20' 'darkfee?format=text&pool=F2Pool&window=20'; do \
 		curl -sf -X POST "http://$$ADDR2/v1/audits/$$q&dataset=live" > /tmp/chainaudit-crash-live.txt && \
 		curl -sf -X POST "http://$$ADDR2/v1/audits/$$q&dataset=ref" > /tmp/chainaudit-crash-ref.txt && \
 		curl -sf -X POST "http://$$ADDR2/v1/audits/$$q&dataset=main" > /tmp/chainaudit-crash-batch.txt && \

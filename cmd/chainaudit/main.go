@@ -88,7 +88,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *scamAddr != "" {
-		set := core.TouchingAddress(c, chain.Address(*scamAddr))
+		set := aud.TouchingAddress(chain.Address(*scamAddr))
 		var rows []core.DifferentialResult
 		if len(set) > 0 {
 			if rows, err = aud.AuditScam(set, opts); err != nil {

@@ -31,9 +31,8 @@
 //	                              | divergence
 //	                              (?dataset= ?minshare= ?sppe= ?windows=
 //	                               ?address= ?pool= ?timeout_ms= ?format=
-//	                               ?window=N — sliding-window variant of
-//	                               ppe/lowfee/darkfee over the last N blocks,
-//	                               0 = all retained)
+//	                               ?window=N — ppe/lowfee/darkfee over the
+//	                               last N retained blocks, 0 = all retained)
 //	POST /v1/audit/divergence     cross-observer first-seen divergence over
 //	                              the per-source ledger (?dataset=
 //	                               ?threshold_ms= ?minshared=; DESIGN.md §14)

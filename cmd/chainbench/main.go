@@ -9,9 +9,9 @@
 //   - index.Build/batch         — the one-shot batch index over the full chain
 //   - index.AppendBlock/replay  — the same chain grown block by block through
 //     the incremental path (throughput plus per-append latency percentiles)
-//   - WindowAuditor.ObserveBlock — maintaining sliding-window audit state
-//   - WindowAuditor.AuditPPE/32  — one windowed re-audit, the per-request cost
-//     of a streaming audit endpoint after an append
+//   - Auditor.Last(32).AuditPPE — one windowed re-audit over the index's
+//     last 32 records, the per-request cost of a streaming audit endpoint
+//     after an append
 //   - observer.Run/IndexSink    — the live-observer pipeline applied in
 //     process (chain replayed as an event stream into an incremental index)
 //   - observer.Run/HTTPSink     — the same stream shipped over HTTP into an
@@ -172,52 +172,27 @@ func run(args []string, out io.Writer) error {
 	incrRes.P99Ns = percentile(lat, 99)
 	rep.Results = append(rep.Results, incrRes)
 
-	// Maintaining sliding-window audit state per block.
-	recs := make([]*index.BlockRecord, ix.Len())
-	for i := range recs {
-		recs[i] = ix.Record(i)
-	}
-	observe := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			w := core.NewWindowAuditor(0)
-			for _, r := range recs {
-				if err := w.ObserveBlock(r); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	rep.Results = append(rep.Results, result("core.WindowAuditor.ObserveBlock/replay", observe, c.Len()))
-
-	// One windowed re-audit — the post-append cost of a streaming endpoint.
-	w := core.NewWindowAuditor(0)
-	for _, r := range recs {
-		if err := w.ObserveBlock(r); err != nil {
-			return err
-		}
-	}
+	// One windowed re-audit over the incremental index's last records — the
+	// post-append cost of a streaming endpoint.
+	last := core.NewIndexedAuditor(ix).Last(*window)
 	audit := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if rep := w.AuditPPE(*window, core.AuditOptions{}); rep.Overall.N == 0 {
+			if rep := last.AuditPPE(core.AuditOptions{}); rep.Overall.N == 0 {
 				b.Fatal("empty")
 			}
 		}
 	})
-	rep.Results = append(rep.Results, result(fmt.Sprintf("core.WindowAuditor.AuditPPE/window=%d", *window), audit, 0))
+	rep.Results = append(rep.Results, result(fmt.Sprintf("core.Auditor.Last(%d).AuditPPE", *window), audit, 0))
 
 	// The live-observer pipeline applied in process: the chain replayed as
 	// an event stream (block + seen-delta snapshot each) into a fresh
-	// incremental index and window per iteration.
+	// incremental index per iteration.
 	ctx := context.Background()
 	inproc := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sink := &observer.IndexSink{
-				Index: index.NewIncremental(ds.Registry),
-				Win:   core.NewWindowAuditor(0),
-			}
+			sink := &observer.IndexSink{Index: index.NewIncremental(ds.Registry)}
 			st, err := observer.Run(ctx, observer.NewChainSource(c), sink, observer.Config{BatchBlocks: 16})
 			if err != nil {
 				b.Fatal(err)
@@ -235,11 +210,7 @@ func run(args []string, out io.Writer) error {
 	attrib := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sink := &observer.IndexSink{
-				Index:  index.NewIncremental(ds.Registry),
-				Win:    core.NewWindowAuditor(0),
-				Source: "s1",
-			}
+			sink := &observer.IndexSink{Index: index.NewIncremental(ds.Registry), Source: "s1"}
 			st, err := observer.Run(ctx, observer.NewChainSource(c), sink, observer.Config{BatchBlocks: 16})
 			if err != nil {
 				b.Fatal(err)
@@ -256,7 +227,7 @@ func run(args []string, out io.Writer) error {
 	// the per-request cost of /v1/audit/divergence; the attribution counters
 	// (and the flagged laggard) are recorded in the report.
 	ixAttr := index.NewIncremental(ds.Registry)
-	attrSink := &observer.IndexSink{Index: ixAttr, Win: core.NewWindowAuditor(0), Source: "s1"}
+	attrSink := &observer.IndexSink{Index: ixAttr, Source: "s1"}
 	if _, err := observer.Run(ctx, observer.NewChainSource(c), attrSink, observer.Config{BatchBlocks: 16}); err != nil {
 		return err
 	}

@@ -30,8 +30,8 @@ func TestReportShape(t *testing.T) {
 	if rep.Dataset.Blocks == 0 || rep.Dataset.Txs == 0 {
 		t.Errorf("dataset = %+v", rep.Dataset)
 	}
-	if len(rep.Results) != 8 {
-		t.Fatalf("results = %d, want 8", len(rep.Results))
+	if len(rep.Results) != 7 {
+		t.Fatalf("results = %d, want 7", len(rep.Results))
 	}
 	names := map[string]bool{}
 	for _, r := range rep.Results {
@@ -41,7 +41,7 @@ func TestReportShape(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"index.Build/batch", "index.AppendBlock/replay",
+		"index.Build/batch", "index.AppendBlock/replay", "core.Auditor.Last(32).AuditPPE",
 		"observer.Run/IndexSink", "observer.Run/HTTPSink",
 		"observer.Run/IndexSink/attributed", "core.DivergenceAudit/sources=2",
 	} {

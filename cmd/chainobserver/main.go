@@ -257,7 +257,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		sink observer.Sink
 		hs   *observer.HTTPSink
 		ix   *index.BlockIndex
-		win  *core.WindowAuditor
 	)
 	if *inprocess {
 		opts := []index.Option{index.WithAppender(dataset.AppendLoose)}
@@ -265,8 +264,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			opts = append(opts, index.WithRetention(*retain))
 		}
 		ix = index.NewIncremental(poolid.DefaultRegistry(), opts...)
-		win = core.NewWindowAuditor(*retain)
-		sink = &observer.IndexSink{Index: ix, Win: win}
+		sink = &observer.IndexSink{Index: ix}
 	} else {
 		hs = &observer.HTTPSink{
 			URL:        *url,
@@ -338,9 +336,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			fmt.Fprintf(out, "dataset %s at height %d (index %d)\n", hs.Last.Dataset, height, hs.Last.IndexLen)
 		}
 	}
-	if win != nil {
+	if ix != nil {
 		fmt.Fprintf(out, "in-process index: %d retained of %d ingested\n", ix.Len(), ix.Ingested())
-		if err := core.WritePPESection(out, win.AuditPPE(*window, core.AuditOptions{})); err != nil {
+		if err := core.WritePPESection(out, core.NewIndexedAuditor(ix).Last(*window).AuditPPE(core.AuditOptions{})); err != nil {
 			return err
 		}
 	}
@@ -510,7 +508,6 @@ type sourceResult struct {
 func runMulti(ctx context.Context, out io.Writer, c *chain.Chain, cfg multiConfig) error {
 	var (
 		ix    *index.BlockIndex
-		win   *core.WindowAuditor
 		cover *sharedCover
 	)
 	if cfg.inprocess {
@@ -519,7 +516,6 @@ func runMulti(ctx context.Context, out io.Writer, c *chain.Chain, cfg multiConfi
 			opts = append(opts, index.WithRetention(cfg.retain))
 		}
 		ix = index.NewIncremental(poolid.DefaultRegistry(), opts...)
-		win = core.NewWindowAuditor(cfg.retain)
 		cover = &sharedCover{covered: -1}
 	}
 
@@ -562,7 +558,7 @@ func runMulti(ctx context.Context, out io.Writer, c *chain.Chain, cfg multiConfi
 
 		var sink observer.Sink
 		if cfg.inprocess {
-			sink = &sharedIndexSink{cover: cover, sink: &observer.IndexSink{Index: ix, Win: win, Source: id}}
+			sink = &sharedIndexSink{cover: cover, sink: &observer.IndexSink{Index: ix, Source: id}}
 		} else {
 			seed := cfg.seedBy[id]
 			if seed == 0 {
@@ -635,9 +631,9 @@ func runMulti(ctx context.Context, out io.Writer, c *chain.Chain, cfg multiConfi
 			}
 		}
 	}
-	if win != nil {
+	if ix != nil {
 		fmt.Fprintf(out, "in-process index: %d retained of %d ingested\n", ix.Len(), ix.Ingested())
-		if err := core.WritePPESection(out, win.AuditPPE(cfg.window, core.AuditOptions{})); err != nil {
+		if err := core.WritePPESection(out, core.NewIndexedAuditor(ix).Last(cfg.window).AuditPPE(core.AuditOptions{})); err != nil {
 			return err
 		}
 		if err := core.WriteDivergenceSection(out, core.DivergenceAudit(ix.SourceSeenTimes(), core.DivergenceOptions{})); err != nil {

@@ -44,9 +44,9 @@ func main() {
 	// Part 2: detect accelerated transactions in BTC.com's blocks from
 	// position evidence alone. The index computes each block's position
 	// analysis once, shared by all five thresholds.
-	ix := index.Build(c, ds.Registry)
+	aud := core.NewIndexedAuditor(index.Build(c, ds.Registry))
 	fmt.Println("\nSPPE-threshold detector over BTC.com blocks:")
-	rows := core.ValidateDetectorOnIndex(ix, "BTC.com",
+	rows := aud.ValidateDarkFee("BTC.com",
 		[]float64{100, 99, 90, 50, 1}, svc.IsAccelerated)
 	t := report.NewTable("", "SPPE >=", "candidates", "oracle-confirmed", "precision %")
 	for _, r := range rows {
@@ -58,7 +58,7 @@ func main() {
 
 	// Part 3: the baseline — random transactions are essentially never
 	// accelerated (the paper found 0 in a 1000-tx sample).
-	sampled, accel := core.BaselineAcceleratedRateOnIndex(ix, "BTC.com", 17, svc.IsAccelerated)
+	sampled, accel := aud.DarkFeeBaseline("BTC.com", 17, svc.IsAccelerated)
 	fmt.Printf("\nrandom-sample baseline: %d of %d accelerated (%.2f%%)\n",
 		accel, sampled, float64(accel)*100/float64(sampled))
 }

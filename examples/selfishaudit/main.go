@@ -26,15 +26,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c := ds.Result.Chain
-	reg := ds.Registry
-	ix := index.Build(c, reg)
+	aud := core.NewIndexedAuditor(index.Build(ds.Result.Chain, ds.Registry))
 
 	// Step 1: find the pool's wallets from its coinbase outputs, then every
 	// confirmed transaction touching them — exactly the paper's §5.2
 	// methodology, using only public chain data. The index caches the
 	// wallet derivation alongside the pool attribution.
-	sets := ix.SelfInterestSets()
+	sets := aud.Index().SelfInterestSets()
 	set := sets[*pool]
 	fmt.Printf("%s: %d self-interest transactions inferred from reward wallets\n", *pool, len(set))
 	if len(set) == 0 {
@@ -42,7 +40,7 @@ func main() {
 	}
 
 	// Step 2: the one-sided binomial tests, over the prebuilt index.
-	res, err := core.DifferentialTestEstimatedOnIndex(ix, *pool, set)
+	res, err := aud.DifferentialTest(*pool, set, core.AuditOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +64,7 @@ func main() {
 
 	// Step 4: robustness under drifting hash rates — split into windows and
 	// combine with Fisher's method.
-	win, err := core.WindowedDifferentialTest(c, reg, *pool, set, 4)
+	win, err := aud.WindowedTest(*pool, set, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

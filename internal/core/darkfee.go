@@ -5,7 +5,6 @@ import (
 
 	"chainaudit/internal/chain"
 	"chainaudit/internal/index"
-	"chainaudit/internal/poolid"
 )
 
 // Candidate is one transaction flagged by the SPPE-based dark-fee detector.
@@ -15,39 +14,18 @@ type Candidate struct {
 	SPPE   float64
 }
 
-// DetectAccelerated scans the given pool's blocks for transactions whose
-// signed position prediction error meets minSPPE — i.e. transactions placed
-// near the top of a block that their public fee-rate says belonged near the
-// bottom (§5.4.2). Results are ordered by SPPE descending.
-func DetectAccelerated(c *chain.Chain, reg *poolid.Registry, pool string, minSPPE float64) []Candidate {
+// detectAccelerated scans the pool's records for transactions whose signed
+// position prediction error meets minSPPE — transactions placed near the
+// top of a block that their public fee-rate says belonged near the bottom
+// (§5.4.2). Candidates keep audited order within a block before the stable
+// sort by SPPE descending.
+func detectAccelerated(recs []index.BlockRecord, pool string, minSPPE float64) []Candidate {
 	var out []Candidate
-	for _, b := range c.Blocks() {
-		if reg.AttributeBlock(b) != pool {
+	for i := range recs {
+		rec := &recs[i]
+		if rec.Pool != pool {
 			continue
 		}
-		info := analyzeBlock(b)
-		n := info.N()
-		if n < 2 {
-			continue
-		}
-		for _, id := range info.IDs {
-			s := percentileRank(info.Predicted[id], n) - percentileRank(info.Observed[id], n)
-			if s >= minSPPE {
-				out = append(out, Candidate{TxID: id, Height: b.Height, SPPE: s})
-			}
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].SPPE > out[j].SPPE })
-	return out
-}
-
-// DetectAcceleratedOnIndex is DetectAccelerated over a prebuilt index: the
-// pool's blocks and their position analyses are already cached, so each
-// threshold scan is a cheap read.
-func DetectAcceleratedOnIndex(ix *index.BlockIndex, pool string, minSPPE float64) []Candidate {
-	var out []Candidate
-	for _, bi := range ix.PoolRecords(pool) {
-		rec := ix.Record(bi)
 		info := rec.Positions
 		n := info.N()
 		if n < 2 {
@@ -80,90 +58,4 @@ func (r DetectorRow) Precision() float64 {
 		return 0
 	}
 	return float64(r.Accelerated) / float64(r.Candidates)
-}
-
-// ValidateDetector evaluates the detector at each threshold against an
-// acceleration oracle (the pool's public "was this accelerated" lookup),
-// reproducing Table 4. Thresholds are evaluated independently, so rows
-// nest: every SPPE ≥ 99 candidate also appears in the SPPE ≥ 90 row.
-func ValidateDetector(c *chain.Chain, reg *poolid.Registry, pool string, thresholds []float64, oracle func(chain.TxID) bool) []DetectorRow {
-	out := make([]DetectorRow, 0, len(thresholds))
-	for _, thr := range thresholds {
-		cands := DetectAccelerated(c, reg, pool, thr)
-		row := DetectorRow{MinSPPE: thr, Candidates: len(cands)}
-		for _, cand := range cands {
-			if oracle(cand.TxID) {
-				row.Accelerated++
-			}
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-// ValidateDetectorOnIndex is ValidateDetector over a prebuilt index: the
-// position analysis is computed once for the whole chain instead of once
-// per threshold. The oracle must be safe for concurrent reads (it is called
-// from one goroutine at a time per threshold, thresholds in order).
-func ValidateDetectorOnIndex(ix *index.BlockIndex, pool string, thresholds []float64, oracle func(chain.TxID) bool) []DetectorRow {
-	out := make([]DetectorRow, 0, len(thresholds))
-	for _, thr := range thresholds {
-		cands := DetectAcceleratedOnIndex(ix, pool, thr)
-		row := DetectorRow{MinSPPE: thr, Candidates: len(cands)}
-		for _, cand := range cands {
-			if oracle(cand.TxID) {
-				row.Accelerated++
-			}
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-// BaselineAcceleratedRateOnIndex is BaselineAcceleratedRate over a prebuilt
-// index, reading the cached pool attribution instead of re-attributing
-// every block.
-func BaselineAcceleratedRateOnIndex(ix *index.BlockIndex, pool string, sampleEvery int, oracle func(chain.TxID) bool) (sampled, accelerated int) {
-	if sampleEvery < 1 {
-		sampleEvery = 1
-	}
-	i := 0
-	for _, bi := range ix.PoolRecords(pool) {
-		for _, tx := range ix.Record(bi).Block.Body() {
-			if i%sampleEvery == 0 {
-				sampled++
-				if oracle(tx.ID) {
-					accelerated++
-				}
-			}
-			i++
-		}
-	}
-	return sampled, accelerated
-}
-
-// BaselineAcceleratedRate estimates the acceleration base rate: the
-// fraction of a random sample of the pool's transactions the oracle
-// confirms (the paper found none in 1000). ids are sampled in block order;
-// pass sampleEvery = k to take every k-th transaction.
-func BaselineAcceleratedRate(c *chain.Chain, reg *poolid.Registry, pool string, sampleEvery int, oracle func(chain.TxID) bool) (sampled, accelerated int) {
-	if sampleEvery < 1 {
-		sampleEvery = 1
-	}
-	i := 0
-	for _, b := range c.Blocks() {
-		if reg.AttributeBlock(b) != pool {
-			continue
-		}
-		for _, tx := range b.Body() {
-			if i%sampleEvery == 0 {
-				sampled++
-				if oracle(tx.ID) {
-					accelerated++
-				}
-			}
-			i++
-		}
-	}
-	return sampled, accelerated
 }

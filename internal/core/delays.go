@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"chainaudit/internal/chain"
+	"chainaudit/internal/index"
 	"chainaudit/internal/mempool"
 	"chainaudit/internal/poolid"
 )
@@ -130,24 +131,21 @@ type LowFeeConfirmation struct {
 	ZeroFee bool
 }
 
-// LowFeeConfirmations finds every confirmed transaction offering less than
-// the recommended minimum fee-rate, with the pool that mined it.
-func LowFeeConfirmations(c *chain.Chain, reg *poolid.Registry) []LowFeeConfirmation {
+// lowFee finds every transaction in the records offering less than the
+// recommended minimum fee-rate, with the pool that mined it, in chain order.
+func lowFee(recs []index.BlockRecord) []LowFeeConfirmation {
 	var out []LowFeeConfirmation
-	for _, b := range c.Blocks() {
-		var pool string
-		for _, tx := range b.Body() {
-			if tx.FeeRate() >= chain.MinRelayFeeRate {
+	for i := range recs {
+		rec := &recs[i]
+		for j, tx := range rec.Block.Body() {
+			if rec.FeeRates[j] >= chain.MinRelayFeeRate {
 				continue
-			}
-			if pool == "" {
-				pool = reg.AttributeBlock(b)
 			}
 			out = append(out, LowFeeConfirmation{
 				TxID:    tx.ID,
-				Height:  b.Height,
-				Pool:    pool,
-				FeeRate: tx.FeeRate(),
+				Height:  rec.Block.Height,
+				Pool:    rec.Pool,
+				FeeRate: rec.FeeRates[j],
 				ZeroFee: tx.Fee == 0,
 			})
 		}

@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"chainaudit/internal/chain"
 	"chainaudit/internal/index"
-	"chainaudit/internal/poolid"
 	"chainaudit/internal/stats"
 )
 
@@ -61,86 +59,35 @@ func BenignTestError(err error) bool {
 	return errors.Is(err, ErrNoCBlocks) || errors.Is(err, ErrPoolNoBlocks) || errors.Is(err, ErrDegenerateTest)
 }
 
-// DifferentialTest runs the §5.1 test: given the chain, a pool attribution
-// registry, the tested pool's name and hash rate θ0, and the c-transaction
-// set, it counts c-blocks and m-blocks and computes both one-sided exact
-// binomial p-values plus the SPPE within m's blocks.
-func DifferentialTest(c *chain.Chain, reg *poolid.Registry, pool string, theta0 float64, set map[chain.TxID]bool) (DifferentialResult, error) {
-	if theta0 <= 0 || theta0 >= 1 {
-		return DifferentialResult{}, fmt.Errorf("core: theta0 %v out of (0,1)", theta0)
-	}
-	res := DifferentialResult{Pool: pool, Theta0: theta0}
-	var mBlocks []*chain.Block
-	for _, b := range c.Blocks() {
-		hasC := false
-		for _, tx := range b.Body() {
-			if set[tx.ID] {
-				hasC = true
-				break
-			}
-		}
-		if !hasC {
-			continue
-		}
-		res.Y++
-		if reg.AttributeBlock(b) == pool {
-			res.X++
-			mBlocks = append(mBlocks, b)
-		}
-	}
-	if res.Y == 0 {
-		return res, ErrNoCBlocks
-	}
-	acc, err := stats.ExactBinomialTest(res.X, res.Y, theta0, stats.Greater)
-	if err != nil {
-		return res, err
-	}
-	dec, err := stats.ExactBinomialTest(res.X, res.Y, theta0, stats.Less)
-	if err != nil {
-		return res, err
-	}
-	res.AccelP, res.AccelPNormal = acc.P, acc.PNormal
-	res.DecelP, res.DecelPNormal = dec.P, dec.PNormal
-	res.SPPE, res.SPPECount = SPPE(mBlocks, set)
-	return res, nil
-}
-
-// DifferentialTestEstimated runs DifferentialTest with θ0 estimated from
-// the chain itself (the pool's share of all blocks), the way the paper
-// estimates hash rates.
-func DifferentialTestEstimated(c *chain.Chain, reg *poolid.Registry, pool string, set map[chain.TxID]bool) (DifferentialResult, error) {
-	shares := poolid.EstimateShares(c, reg)
-	theta0 := poolid.HashRateOf(shares, pool)
+// differentialTest runs the §5.1 test of the c-transaction set against one
+// pool over the span: θ0 is the pool's share of the span's blocks (the way
+// the paper estimates hash rates), y counts the c-blocks — blocks
+// confirming at least one c-transaction — and x those mined by the pool.
+// It returns both one-sided exact binomial p-values plus the SPPE of the
+// c-transactions within the pool's c-blocks. The c-blocks are located
+// through the index's transaction lookup, O(|set|) rather than a scan.
+func (s span) differentialTest(pool string, set map[chain.TxID]bool) (DifferentialResult, error) {
+	theta0 := s.hashRate(pool)
 	if theta0 == 0 {
 		return DifferentialResult{}, fmt.Errorf("%w: %q", ErrPoolNoBlocks, pool)
 	}
 	if theta0 >= 1 {
 		return DifferentialResult{}, fmt.Errorf("%w: %q", ErrDegenerateTest, pool)
 	}
-	return DifferentialTest(c, reg, pool, theta0, set)
-}
-
-// DifferentialTestOnIndex runs the §5.1 test against a prebuilt index. The
-// c-blocks are located through the chain's transaction index (O(|set|)
-// instead of a full-chain scan) and the SPPE within m's blocks reads the
-// cached position analysis; results are bit-identical to DifferentialTest.
-func DifferentialTestOnIndex(ix *index.BlockIndex, pool string, theta0 float64, set map[chain.TxID]bool) (DifferentialResult, error) {
-	if theta0 <= 0 || theta0 >= 1 {
-		return DifferentialResult{}, fmt.Errorf("core: theta0 %v out of (0,1)", theta0)
-	}
 	res := DifferentialResult{Pool: pool, Theta0: theta0}
 	seen := make(map[int]bool)
 	var cIdxs []int
 	for id := range set {
-		if bi, ok := ix.LocateRecord(id); ok && !seen[bi] {
-			seen[bi] = true
-			cIdxs = append(cIdxs, bi)
+		if i, ok := s.locate(id); ok && !seen[i] {
+			seen[i] = true
+			cIdxs = append(cIdxs, i)
 		}
 	}
 	sort.Ints(cIdxs)
+	recs := s.recs()
 	var mRecs []*index.BlockRecord
-	for _, bi := range cIdxs {
-		rec := ix.Record(bi)
+	for _, i := range cIdxs {
+		rec := &recs[i]
 		res.Y++
 		if rec.Pool == pool {
 			res.X++
@@ -164,19 +111,6 @@ func DifferentialTestOnIndex(ix *index.BlockIndex, pool string, theta0 float64, 
 	return res, nil
 }
 
-// DifferentialTestEstimatedOnIndex is DifferentialTestOnIndex with θ0 taken
-// from the index's cached hash-rate estimates.
-func DifferentialTestEstimatedOnIndex(ix *index.BlockIndex, pool string, set map[chain.TxID]bool) (DifferentialResult, error) {
-	theta0 := ix.HashRateOf(pool)
-	if theta0 == 0 {
-		return DifferentialResult{}, fmt.Errorf("%w: %q", ErrPoolNoBlocks, pool)
-	}
-	if theta0 >= 1 {
-		return DifferentialResult{}, fmt.Errorf("%w: %q", ErrDegenerateTest, pool)
-	}
-	return DifferentialTestOnIndex(ix, pool, theta0, set)
-}
-
 // WindowedResult is a Fisher-combined differential test over consecutive
 // time windows (§5.1.3's suggested extension for drifting hash rates).
 type WindowedResult struct {
@@ -188,33 +122,24 @@ type WindowedResult struct {
 	DecelStat, DecelP float64
 }
 
-// WindowedDifferentialTest splits the chain into nWindows equal spans of
-// block height, runs the differential test per window with a per-window
-// hash-rate estimate, and combines the p-values with Fisher's method.
-// Windows with no c-blocks or no blocks by the pool are skipped.
-func WindowedDifferentialTest(c *chain.Chain, reg *poolid.Registry, pool string, set map[chain.TxID]bool, nWindows int) (WindowedResult, error) {
+// windowedTest splits the span into nWindows equal runs of records, runs
+// the differential test per run with a per-run hash-rate estimate, and
+// combines the p-values with Fisher's method. Runs with no c-blocks or no
+// blocks by the pool are skipped.
+func (s span) windowedTest(pool string, set map[chain.TxID]bool, nWindows int) (WindowedResult, error) {
 	if nWindows < 1 {
 		return WindowedResult{}, errors.New("core: need at least one window")
 	}
-	blocks := c.Blocks()
-	if len(blocks) == 0 {
+	n := s.hi - s.lo
+	if n == 0 {
 		return WindowedResult{}, ErrNoCBlocks
 	}
 	out := WindowedResult{Pool: pool}
 	var accelPs, decelPs []float64
-	per := (len(blocks) + nWindows - 1) / nWindows
-	for start := 0; start < len(blocks); start += per {
-		end := start + per
-		if end > len(blocks) {
-			end = len(blocks)
-		}
-		sub := chain.New()
-		for _, b := range blocks[start:end] {
-			if err := sub.Append(b); err != nil {
-				return WindowedResult{}, err
-			}
-		}
-		res, err := DifferentialTestEstimated(sub, reg, pool, set)
+	per := (n + nWindows - 1) / nWindows
+	for start := s.lo; start < s.hi; start += per {
+		end := min(start+per, s.hi)
+		res, err := span{ix: s.ix, lo: start, hi: end}.differentialTest(pool, set)
 		if err != nil {
 			continue // window without signal
 		}
@@ -232,83 +157,4 @@ func WindowedDifferentialTest(c *chain.Chain, reg *poolid.Registry, pool string,
 	}
 	out.DecelStat, out.DecelP, err = stats.FisherCombined(decelPs)
 	return out, err
-}
-
-// SelfInterestSets derives, for each pool, the confirmed transactions in
-// which the pool's reward wallets are a party (sender or receiver) — the
-// paper's §5.2 methodology: reward addresses are collected from coinbase
-// outputs, then every transaction touching them is the pool's
-// self-interest set. The pools' own coinbases are excluded.
-func SelfInterestSets(c *chain.Chain, reg *poolid.Registry) map[string]map[chain.TxID]bool {
-	rewardAddrs := poolid.RewardAddresses(c, reg)
-	// Invert: address → pool.
-	owner := make(map[chain.Address]string)
-	for pool, addrs := range rewardAddrs {
-		if pool == poolid.Unknown {
-			continue
-		}
-		for a := range addrs {
-			owner[a] = pool
-		}
-	}
-	out := make(map[string]map[chain.TxID]bool)
-	for _, b := range c.Blocks() {
-		for _, tx := range b.Body() {
-			credit := func(addr chain.Address) {
-				if pool, ok := owner[addr]; ok {
-					set := out[pool]
-					if set == nil {
-						set = make(map[chain.TxID]bool)
-						out[pool] = set
-					}
-					set[tx.ID] = true
-				}
-			}
-			for _, in := range tx.Inputs {
-				credit(in.Address)
-			}
-			for _, o := range tx.Outputs {
-				credit(o.Address)
-			}
-		}
-	}
-	return out
-}
-
-// TouchingAddress returns the set of confirmed transactions with the given
-// address as a party — used to build the scam-payment c-set of §5.3.
-func TouchingAddress(c *chain.Chain, addr chain.Address) map[chain.TxID]bool {
-	out := make(map[chain.TxID]bool)
-	for _, b := range c.Blocks() {
-		for _, tx := range b.Body() {
-			if tx.Touches(addr) {
-				out[tx.ID] = true
-			}
-		}
-	}
-	return out
-}
-
-// WindowByTime restricts the chain to [from, to) — e.g. the scam episode's
-// July 14 – August 9 window.
-func WindowByTime(c *chain.Chain, from, to time.Time) *chain.Chain {
-	return c.Slice(from, to)
-}
-
-// TopPoolsByShare lists pool names whose estimated hash rate meets the
-// threshold, ordered by share descending — the paper tests the "top-10
-// pools that mined at least 4%" (Table 2) or "top-9 at least 5%" (Table 3).
-func TopPoolsByShare(c *chain.Chain, reg *poolid.Registry, minShare float64) []string {
-	shares := poolid.EstimateShares(c, reg)
-	var out []string
-	for _, s := range shares {
-		if s.Pool == poolid.Unknown || s.HashRate < minShare {
-			continue
-		}
-		out = append(out, s.Pool)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return poolid.HashRateOf(shares, out[i]) > poolid.HashRateOf(shares, out[j])
-	})
-	return out
 }

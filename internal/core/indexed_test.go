@@ -1,17 +1,17 @@
 package core_test
 
-// Equivalence tests pinning every *OnIndex audit to its serial reference:
-// same dataset, same inputs, bit-identical outputs. These are the hard
-// guarantee behind the shared-index refactor — the parallel/indexed paths
-// must never drift from the paper's serial methodology.
+// Equivalence tests pinning the Auditor's grid and table audits to their
+// chain-walking serial references: same dataset, same inputs, bit-identical
+// outputs. These are the hard guarantee behind the shared-index design —
+// the parallel, record-reading paths must never drift from the paper's
+// serial methodology. The randomized equivalence over retained and
+// windowed indexes lives in equivalence_test.go.
 
 import (
-	"context"
 	"sort"
 	"testing"
 	"time"
 
-	"chainaudit/internal/chain"
 	"chainaudit/internal/core"
 	"chainaudit/internal/dataset"
 	"chainaudit/internal/index"
@@ -34,44 +34,6 @@ func buildA(t testing.TB) *dataset.Dataset {
 		t.Fatal(err)
 	}
 	return ds
-}
-
-func TestDifferentialTestOnIndexBitIdentical(t *testing.T) {
-	ds := buildA(t)
-	c, reg := ds.Result.Chain, ds.Registry
-	ix := index.Build(c, reg)
-
-	sets := core.SelfInterestSets(c, reg)
-	pools := core.TopPoolsByShare(c, reg, 0.04)
-	if len(pools) == 0 || len(sets) == 0 {
-		t.Fatalf("degenerate dataset: %d pools, %d sets", len(pools), len(sets))
-	}
-	tested := 0
-	for owner, set := range sets {
-		for _, pool := range pools {
-			want, wantErr := core.DifferentialTestEstimated(c, reg, pool, set)
-			got, gotErr := core.DifferentialTestEstimatedOnIndex(ix, pool, set)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("(%s,%s): error mismatch: serial %v, indexed %v", owner, pool, wantErr, gotErr)
-			}
-			if wantErr != nil {
-				if core.BenignTestError(wantErr) != core.BenignTestError(gotErr) {
-					t.Fatalf("(%s,%s): benign-ness mismatch: %v vs %v", owner, pool, wantErr, gotErr)
-				}
-				continue
-			}
-			// Bit-identical: every field, including the float p-values and
-			// SPPE, must match exactly — the indexed path accumulates in the
-			// same order as the serial one.
-			if want != got {
-				t.Fatalf("(%s,%s): result diverged\nserial:  %+v\nindexed: %+v", owner, pool, want, got)
-			}
-			tested++
-		}
-	}
-	if tested == 0 {
-		t.Fatal("no (owner, pool) combination completed")
-	}
 }
 
 func TestPPEReportMatchesSerialAndSorts(t *testing.T) {
@@ -116,9 +78,10 @@ func TestPPEReportMatchesSerialAndSorts(t *testing.T) {
 func TestSelfInterestGridMatchesSerialReference(t *testing.T) {
 	ds := buildA(t)
 	c, reg := ds.Result.Chain, ds.Registry
-	ix := index.Build(c, reg)
+	aud := core.NewIndexedAuditor(index.Build(c, reg))
+	opts := core.AuditOptions{MinShare: 0.04}
 
-	all, err := core.SelfInterestGridCtx(context.Background(), ix, ix.SelfInterestSets(), 0.04)
+	all, err := aud.SelfInterestGrid(aud.Index().SelfInterestSets(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +124,7 @@ func TestSelfInterestGridMatchesSerialReference(t *testing.T) {
 	}
 
 	// Determinism: a second run is identical.
-	again, err := core.SelfInterestGridCtx(context.Background(), ix, ix.SelfInterestSets(), 0.04)
+	again, err := aud.SelfInterestGrid(aud.Index().SelfInterestSets(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,44 +176,6 @@ func TestScamAuditDeterministicAndSerialEquivalent(t *testing.T) {
 	for i := range want {
 		if rows[i] != want[i] {
 			t.Fatalf("row %d diverged\naudit:  %+v\nserial: %+v", i, rows[i], want[i])
-		}
-	}
-}
-
-func TestValidateDetectorOnIndexMatchesSerial(t *testing.T) {
-	ds := buildA(t)
-	c, reg := ds.Result.Chain, ds.Registry
-	ix := index.Build(c, reg)
-	thresholds := []float64{99, 50, 1}
-
-	pools := core.TopPoolsByShare(c, reg, 0.04)
-	if len(pools) == 0 {
-		t.Fatal("no pools")
-	}
-	evenOracle := func(id chain.TxID) bool { return id[0]%2 == 0 }
-	thirdOracle := func(id chain.TxID) bool { return id[0]%3 == 0 }
-	for _, pool := range pools[:1] {
-		wantCands := core.DetectAccelerated(c, reg, pool, 1)
-		gotCands := core.DetectAcceleratedOnIndex(ix, pool, 1)
-		if len(wantCands) != len(gotCands) {
-			t.Fatalf("candidates: %d vs %d", len(wantCands), len(gotCands))
-		}
-		for i := range wantCands {
-			if wantCands[i] != gotCands[i] {
-				t.Fatalf("candidate %d diverged: %+v vs %+v", i, wantCands[i], gotCands[i])
-			}
-		}
-		want := core.ValidateDetector(c, reg, pool, thresholds, evenOracle)
-		got := core.ValidateDetectorOnIndex(ix, pool, thresholds, evenOracle)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("detector row %d diverged: %+v vs %+v", i, want[i], got[i])
-			}
-		}
-		ws, wa := core.BaselineAcceleratedRate(c, reg, pool, 13, thirdOracle)
-		gs, ga := core.BaselineAcceleratedRateOnIndex(ix, pool, 13, thirdOracle)
-		if ws != gs || wa != ga {
-			t.Fatalf("baseline diverged: (%d,%d) vs (%d,%d)", ws, wa, gs, ga)
 		}
 	}
 }

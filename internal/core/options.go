@@ -5,9 +5,7 @@ import (
 	"sort"
 
 	"chainaudit/internal/chain"
-	"chainaudit/internal/index"
 	"chainaudit/internal/pipeline"
-	"chainaudit/internal/poolid"
 	"chainaudit/internal/stats"
 )
 
@@ -96,29 +94,19 @@ func (o AuditOptions) sppe() float64 {
 // the distribution of per-block PPE overall and per pool, for pools with at
 // least opts.MinBlocks auditable blocks.
 func (a *Auditor) AuditPPE(opts AuditOptions) PPEReport {
-	minBlocks := opts.minBlocks()
-	var all []float64
-	perPool := make(map[string][]float64)
-	for _, rec := range a.Index().Records() {
-		if !rec.PPEValid {
-			continue
-		}
-		all = append(all, rec.PPE)
-		perPool[rec.Pool] = append(perPool[rec.Pool], rec.PPE)
-	}
-	rep := PPEReport{Overall: stats.Summarize(all), PerPool: make(map[string]stats.Summary)}
-	for pool, vals := range perPool {
-		if len(vals) >= minBlocks && pool != poolid.Unknown {
-			rep.PerPool[pool] = stats.Summarize(vals)
-		}
-	}
-	return rep
+	return ppeReport(a.span().recs(), opts.minBlocks())
 }
 
-// PPESeries returns the per-block PPE values in height order, read from the
-// shared index (the distribution Figure 7 plots).
+// PPESeries returns the per-block PPE values in height order (the
+// distribution Figure 7 plots), skipping blocks with nothing to audit.
 func (a *Auditor) PPESeries() []float64 {
-	return PPESeriesOnIndex(a.Index())
+	var out []float64
+	for _, rec := range a.span().recs() {
+		if rec.PPEValid {
+			out = append(out, rec.PPE)
+		}
+	}
+	return out
 }
 
 // WindowedFinding is one Fisher-combined windowed test run for a
@@ -154,9 +142,9 @@ type SelfInterestReport struct {
 // variant. Benign no-signal combinations are skipped; the first unexpected
 // test failure (or the context's error on cancellation) is returned.
 func (a *Auditor) AuditSelfInterest(opts AuditOptions) (SelfInterestReport, error) {
-	ix := a.Index()
+	sets := a.Index().SelfInterestSets()
 	rep := SelfInterestReport{Windows: opts.Windows}
-	all, err := SelfInterestGridCtx(opts.ctx(), ix, ix.SelfInterestSets(), opts.minShare())
+	all, err := a.SelfInterestGrid(sets, opts)
 	if err != nil {
 		return SelfInterestReport{}, err
 	}
@@ -170,12 +158,12 @@ func (a *Auditor) AuditSelfInterest(opts AuditOptions) (SelfInterestReport, erro
 		return rep.Findings[i].Result.AccelP < rep.Findings[j].Result.AccelP
 	})
 	if opts.Windows > 1 {
-		sets := ix.SelfInterestSets()
+		s := a.span()
 		for _, f := range rep.Findings {
 			if err := opts.ctx().Err(); err != nil {
 				return SelfInterestReport{}, err
 			}
-			res, err := WindowedDifferentialTest(a.Chain, a.Registry, f.Result.Pool, sets[f.Owner], opts.Windows)
+			res, err := s.windowedTest(f.Result.Pool, sets[f.Owner], opts.Windows)
 			if err != nil {
 				continue // window without signal, as the CLI skipped
 			}
@@ -191,11 +179,11 @@ func (a *Auditor) AuditSelfInterest(opts AuditOptions) (SelfInterestReport, erro
 // deterministic row order. Benign no-signal pools are skipped; other test
 // errors — and the context's error on cancellation — are returned.
 func (a *Auditor) AuditScam(set map[chain.TxID]bool, opts AuditOptions) ([]DifferentialResult, error) {
-	ix := a.Index()
-	pools := ix.TopPoolsByShare(opts.minShare())
+	s := a.span()
+	pools := s.topPools(opts.minShare())
 	results, batchErr := pipeline.MapCtx(pipeline.Default(), opts.ctx(), len(pools), pipeline.RunConfig{},
 		func(ctx context.Context, i int) (DifferentialResult, error) {
-			return DifferentialTestEstimatedOnIndex(ix, pools[i], set)
+			return s.differentialTest(pools[i], set)
 		})
 	if batchErr != nil {
 		return nil, batchErr
@@ -220,47 +208,102 @@ func (a *Auditor) AuditScam(set map[chain.TxID]bool, opts AuditOptions) ([]Diffe
 // transaction offering less than the relay minimum fee-rate, with the pool
 // that mined it, in chain order.
 func (a *Auditor) AuditLowFee(opts AuditOptions) []LowFeeConfirmation {
-	return LowFeeConfirmations(a.Chain, a.Registry)
+	return lowFee(a.span().recs())
 }
 
 // AuditDarkFee scans the named pool's blocks for transactions whose signed
 // PPE meets opts.SPPE — the §5.4.2 dark-fee detector — ordered by SPPE
 // descending.
 func (a *Auditor) AuditDarkFee(pool string, opts AuditOptions) []Candidate {
-	return DetectAcceleratedOnIndex(a.Index(), pool, opts.sppe())
+	return detectAccelerated(a.span().recs(), pool, opts.sppe())
 }
 
 // ValidateDarkFee evaluates the dark-fee detector at each threshold against
-// an acceleration oracle (Table 4). The index is shared across thresholds.
+// an acceleration oracle (Table 4). Thresholds are evaluated independently,
+// so rows nest: every SPPE ≥ 99 candidate also appears in the SPPE ≥ 90 row.
 func (a *Auditor) ValidateDarkFee(pool string, thresholds []float64, oracle func(chain.TxID) bool) []DetectorRow {
-	return ValidateDetectorOnIndex(a.Index(), pool, thresholds, oracle)
+	recs := a.span().recs()
+	out := make([]DetectorRow, 0, len(thresholds))
+	for _, thr := range thresholds {
+		cands := detectAccelerated(recs, pool, thr)
+		row := DetectorRow{MinSPPE: thr, Candidates: len(cands)}
+		for _, cand := range cands {
+			if oracle(cand.TxID) {
+				row.Accelerated++
+			}
+		}
+		out = append(out, row)
+	}
+	return out
 }
 
-// DarkFeeBaseline estimates the acceleration base rate over a deterministic
-// sample of the pool's transactions (Table 4's random-sample row).
+// DarkFeeBaseline estimates the acceleration base rate: the fraction of a
+// deterministic sample of the pool's transactions the oracle confirms
+// (Table 4's random-sample row; the paper found none in 1000). Transactions
+// are sampled in block order, every sampleEvery-th one (< 1 means every).
 func (a *Auditor) DarkFeeBaseline(pool string, sampleEvery int, oracle func(chain.TxID) bool) (sampled, accelerated int) {
-	return BaselineAcceleratedRateOnIndex(a.Index(), pool, sampleEvery, oracle)
+	if sampleEvery < 1 {
+		sampleEvery = 1
+	}
+	i := 0
+	for _, rec := range a.span().recs() {
+		if rec.Pool != pool {
+			continue
+		}
+		for _, tx := range rec.Block.Body() {
+			if i%sampleEvery == 0 {
+				sampled++
+				if oracle(tx.ID) {
+					accelerated++
+				}
+			}
+			i++
+		}
+	}
+	return sampled, accelerated
 }
 
 // DifferentialTest runs the §5.1 test of the given transaction set against
-// one pool, with θ0 estimated from the pool's share of blocks.
+// one pool, with θ0 estimated from the pool's share of the audited blocks.
 func (a *Auditor) DifferentialTest(pool string, set map[chain.TxID]bool, opts AuditOptions) (DifferentialResult, error) {
-	return DifferentialTestEstimatedOnIndex(a.Index(), pool, set)
+	return a.span().differentialTest(pool, set)
 }
 
-// SelfInterestGridCtx is SelfInterestGrid with cancellation: tests every
-// (owner, testing pool) combination of the given transaction sets against
-// the index's pools with at least minShare of blocks, fanning the
-// differential tests out over the worker pool under ctx. Owners are
-// iterated in sorted order and results merged back in grid order, so the
-// output is bit-identical to the serial loop. Rows come back with the
-// Benjamini–Hochberg adjusted acceleration p-value filled in.
+// WindowedTest runs the Fisher-combined variant of DifferentialTest
+// (§5.1.3): the audited blocks split into the given number of equal runs,
+// one test per run with its own θ0, p-values combined with Fisher's method.
+func (a *Auditor) WindowedTest(pool string, set map[chain.TxID]bool, windows int) (WindowedResult, error) {
+	return a.span().windowedTest(pool, set, windows)
+}
+
+// TouchingAddress returns the audited transactions with the given address
+// as a party — the scam-payment c-set of §5.3.
+func (a *Auditor) TouchingAddress(addr chain.Address) map[chain.TxID]bool {
+	out := make(map[chain.TxID]bool)
+	for _, rec := range a.span().recs() {
+		for _, tx := range rec.Block.Body() {
+			if tx.Touches(addr) {
+				out[tx.ID] = true
+			}
+		}
+	}
+	return out
+}
+
+// SelfInterestGrid tests every (owner, testing pool) combination of the
+// given transaction sets against the pools with at least opts.MinShare of
+// the audited blocks, fanning the differential tests out over the worker
+// pool under opts.Ctx. Owners are iterated in sorted order and results
+// merged back in grid order, so the output is bit-identical to the serial
+// loop. Rows come back with the Benjamini–Hochberg adjusted acceleration
+// p-value filled in.
 //
 // Benign no-signal rows (no c-blocks, pool absent, degenerate θ0) are
 // skipped; any other test error aborts the grid and is returned — the first
 // such error in grid order. A cancelled context returns its error.
-func SelfInterestGridCtx(ctx context.Context, ix *index.BlockIndex, sets map[string]map[chain.TxID]bool, minShare float64) ([]SelfInterestFinding, error) {
-	testPools := ix.TopPoolsByShare(minShare)
+func (a *Auditor) SelfInterestGrid(sets map[string]map[chain.TxID]bool, opts AuditOptions) ([]SelfInterestFinding, error) {
+	s := a.span()
+	testPools := s.topPools(opts.minShare())
 	owners := make([]string, 0, len(sets))
 	for owner := range sets {
 		owners = append(owners, owner)
@@ -276,9 +319,9 @@ func SelfInterestGridCtx(ctx context.Context, ix *index.BlockIndex, sets map[str
 			combos = append(combos, combo{owner: owner, tester: tester})
 		}
 	}
-	results, batchErr := pipeline.MapCtx(pipeline.Default(), ctx, len(combos), pipeline.RunConfig{},
+	results, batchErr := pipeline.MapCtx(pipeline.Default(), opts.ctx(), len(combos), pipeline.RunConfig{},
 		func(ctx context.Context, i int) (DifferentialResult, error) {
-			return DifferentialTestEstimatedOnIndex(ix, combos[i].tester, sets[combos[i].owner])
+			return s.differentialTest(combos[i].tester, sets[combos[i].owner])
 		})
 	if batchErr != nil {
 		return nil, batchErr

@@ -1,10 +1,9 @@
 package core_test
 
-// Equivalence tests pinning the AuditOptions API to the *OnIndex functions
-// underneath it (the ground truth the retired positional wrappers used to
-// proxy): zero-valued options must reproduce the package defaults exactly,
-// negative thresholds must mean "no threshold", and a cancelled context
-// must abort cleanly.
+// Equivalence tests pinning the AuditOptions API to the grid and the
+// chain-walking references underneath it: zero-valued options must
+// reproduce the package defaults exactly, negative thresholds must mean "no
+// threshold", and a cancelled context must abort cleanly.
 
 import (
 	"context"
@@ -60,9 +59,8 @@ func TestAuditSelfInterestMatchesGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ground truth: the grid function the retired wrapper used to proxy.
-	wantAll, err := core.SelfInterestGridCtx(context.Background(),
-		aud.Index(), aud.Index().SelfInterestSets(), 0.04)
+	// Ground truth: the grid the audit is built on.
+	wantAll, err := aud.SelfInterestGrid(aud.Index().SelfInterestSets(), core.AuditOptions{MinShare: 0.04})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,14 +122,14 @@ func TestAuditScamDefaultSemantics(t *testing.T) {
 
 func TestAuditDarkFeeAndLowFeeMatchFunctions(t *testing.T) {
 	aud := auditorC(t)
-	want := core.DetectAcceleratedOnIndex(aud.Index(), "BTC.com", 90)
+	want := core.DetectAccelerated(aud.Chain, aud.Registry, "BTC.com", 90)
 	got := aud.AuditDarkFee("BTC.com", core.AuditOptions{SPPE: 90})
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("dark-fee candidates diverged (%d vs %d)", len(want), len(got))
 	}
 	// SPPE zero-value selects the default threshold.
 	if def := aud.AuditDarkFee("BTC.com", core.AuditOptions{}); !reflect.DeepEqual(def,
-		core.DetectAcceleratedOnIndex(aud.Index(), "BTC.com", core.DefaultSPPE)) {
+		core.DetectAccelerated(aud.Chain, aud.Registry, "BTC.com", core.DefaultSPPE)) {
 		t.Error("default SPPE threshold diverged")
 	}
 	lows := core.LowFeeConfirmations(aud.Chain, aud.Registry)

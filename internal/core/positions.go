@@ -16,9 +16,11 @@
 //   - commit-delay and fee/congestion analyses (§4.1).
 //
 // The canonical per-block position analysis lives in internal/index; the
-// helpers here are its per-block entry points, and every whole-chain audit
-// has an *OnIndex form that consumes a shared, precomputed
-// index.BlockIndex instead of re-deriving positions and attributions.
+// helpers here are its per-block entry points. Every whole-chain audit has
+// exactly one implementation: a function over a run of a shared
+// index.BlockIndex's retained records, reached through Auditor, so
+// positions and attributions are derived once per block and a windowed
+// audit is the same function over fewer records.
 package core
 
 import (
@@ -38,30 +40,6 @@ func analyzeBlock(b *chain.Block) *index.Positions {
 // as a percentage. ok is false for blocks with no auditable transactions.
 func PPE(b *chain.Block) (ppe float64, ok bool) {
 	return analyzeBlock(b).PPE()
-}
-
-// PPESeries computes the PPE of every block in the chain that has at least
-// one auditable transaction, in height order.
-func PPESeries(c *chain.Chain) []float64 {
-	var out []float64
-	for _, b := range c.Blocks() {
-		if v, ok := PPE(b); ok {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// PPESeriesOnIndex is PPESeries over a prebuilt index: the per-block values
-// are already cached, so this is a copy, not a recomputation.
-func PPESeriesOnIndex(ix *index.BlockIndex) []float64 {
-	var out []float64
-	for _, rec := range ix.Records() {
-		if rec.PPEValid {
-			out = append(out, rec.PPE)
-		}
-	}
-	return out
 }
 
 // percentileRank converts a 0-based rank among n items to a percentile in
@@ -94,40 +72,11 @@ func BlockSPPEs(b *chain.Block) map[chain.TxID]float64 {
 	return out
 }
 
-// SPPE returns the mean signed position prediction error of the
-// transactions in set over the given blocks (§5.1.1): the average over all
-// set members found auditable in the blocks of (predicted percentile −
-// observed percentile). count reports how many set members contributed.
-func SPPE(blocks []*chain.Block, set map[chain.TxID]bool) (sppe float64, count int) {
-	var sum float64
-	for _, b := range blocks {
-		var info *index.Positions
-		for _, tx := range b.Body() {
-			if !set[tx.ID] {
-				continue
-			}
-			if info == nil {
-				info = analyzeBlock(b)
-			}
-			obs, ok := info.Observed[tx.ID]
-			if !ok {
-				continue
-			}
-			pred := info.Predicted[tx.ID]
-			n := info.N()
-			sum += percentileRank(pred, n) - percentileRank(obs, n)
-			count++
-		}
-	}
-	if count == 0 {
-		return 0, 0
-	}
-	return sum / float64(count), count
-}
-
-// sppeOnRecords is SPPE over prebuilt block records: the same accumulation
-// in the same order, reading the cached position analysis instead of
-// re-deriving it per block.
+// sppeOnRecords returns the mean signed position prediction error of the
+// transactions in set over the records (§5.1.1): the average over all set
+// members found auditable in the blocks of (predicted percentile − observed
+// percentile), accumulated in block and committed order. count reports how
+// many set members contributed.
 func sppeOnRecords(recs []*index.BlockRecord, set map[chain.TxID]bool) (sppe float64, count int) {
 	var sum float64
 	for _, rec := range recs {

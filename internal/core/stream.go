@@ -3,13 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
-	"chainaudit/internal/chain"
 	"chainaudit/internal/index"
-	"chainaudit/internal/mempool"
-	"chainaudit/internal/poolid"
-	"chainaudit/internal/stats"
 )
 
 // ErrStreamOrder is the sentinel wrapped by ObserveBlock when a block
@@ -19,219 +14,76 @@ import (
 // window.
 var ErrStreamOrder = errors.New("core: block out of stream order")
 
-// WindowAuditor maintains running audit aggregates over a sliding height
-// window, updating as blocks and mempool snapshots arrive. It is the
-// streaming counterpart of Auditor: each observed block contributes a small
-// per-block delta (its PPE sample, its low-fee rows, its non-negative-SPPE
-// dark-fee candidates), and the windowed audits assemble verdicts from the
-// retained deltas without re-walking the chain.
+// WindowAuditor is a small adapter that keeps its own sliding window of
+// block records and answers the windowed PPE, low-fee, and dark-fee audits
+// through the same record functions Auditor uses. It holds shallow copies
+// of the observed records, so it is exactly Auditor.Last(n) over a window
+// it owns. The service, the observer, and the experiments audit the index
+// through Auditor.Last instead; the layered benchmark (perfbench) is the
+// only non-test caller, and keeps this API for its per-layer timings.
 //
-// The determinism contract mirrors the rest of the stack: an audit over the
-// last n observed blocks is value-identical — and, through the shared
-// section renderers, byte-identical — to the batch audit of
-// chain.Suffix(n). The equivalence tests pin this.
-//
-// A WindowAuditor is not safe for concurrent use; callers serialize
-// observations against queries (internal/serve holds a per-dataset
-// RWMutex).
+// A WindowAuditor is not safe for concurrent use.
 type WindowAuditor struct {
-	// max bounds the retained window in blocks (0 = retain everything).
+	// max bounds the window in blocks (0 = retain everything).
 	max int
-
-	// Bounded windows store deltas in ring as a circular buffer of capacity
-	// max with head indexing the oldest entry, so eviction is an O(1)
-	// overwrite that releases the evicted block's lowFee/cands slices —
-	// never a reslice that pins the ever-growing backing array. Unbounded
-	// windows (max == 0) keep head at 0 and grow by appending.
-	ring []windowBlock
-	head int
-
-	lastHeight int64
-	anyBlocks  bool
-
-	snapshots   int
-	lastTip     int64
-	lastTipSeen bool
-}
-
-// windowBlock is one observed block's audit delta.
-type windowBlock struct {
-	height   int64
-	pool     string
-	ppe      float64
-	ppeValid bool
-	lowFee   []LowFeeConfirmation
-	// cands holds the block's dark-fee candidates with SPPE >= 0 in audited
-	// order. Effective detector thresholds are never negative (see
-	// AuditOptions.sppe), so every queryable candidate is retained.
-	cands []Candidate
+	// recs holds the retained records in stream order. A full bounded
+	// window slides by copying down in place, so its backing array stops
+	// growing once it holds max records.
+	recs []index.BlockRecord
 }
 
 // NewWindowAuditor returns an empty windowed auditor retaining at most
 // maxBlocks observed blocks (0 = unbounded).
 func NewWindowAuditor(maxBlocks int) *WindowAuditor {
-	if maxBlocks < 0 {
-		maxBlocks = 0
-	}
-	return &WindowAuditor{max: maxBlocks}
+	return &WindowAuditor{max: max(maxBlocks, 0)}
 }
 
-// ObserveBlock folds one indexed block into the window, evicting the oldest
+// ObserveBlock adds one indexed block to the window, evicting the oldest
 // block when the window is full. Records must arrive in strictly increasing
 // height order — the order index.BlockIndex yields them; a duplicate or
 // out-of-order height returns an error wrapping ErrStreamOrder and leaves
 // the window unchanged.
 func (w *WindowAuditor) ObserveBlock(rec *index.BlockRecord) error {
-	h := rec.Block.Height
-	if w.anyBlocks && h <= w.lastHeight {
-		return fmt.Errorf("%w: height %d after %d", ErrStreamOrder, h, w.lastHeight)
-	}
-	wb := windowBlock{
-		height:   h,
-		pool:     rec.Pool,
-		ppe:      rec.PPE,
-		ppeValid: rec.PPEValid,
-	}
-	for i, tx := range rec.Block.Body() {
-		if rec.FeeRates[i] >= chain.MinRelayFeeRate {
-			continue
-		}
-		wb.lowFee = append(wb.lowFee, LowFeeConfirmation{
-			TxID:    tx.ID,
-			Height:  h,
-			Pool:    rec.Pool,
-			FeeRate: rec.FeeRates[i],
-			ZeroFee: tx.Fee == 0,
-		})
-	}
-	if info := rec.Positions; info.N() >= 2 {
-		n := info.N()
-		for _, id := range info.IDs {
-			s := index.PercentileRank(info.Predicted[id], n) - index.PercentileRank(info.Observed[id], n)
-			if s >= 0 {
-				wb.cands = append(wb.cands, Candidate{TxID: id, Height: h, SPPE: s})
-			}
+	if n := len(w.recs); n > 0 {
+		if last := w.recs[n-1].Block.Height; rec.Block.Height <= last {
+			return fmt.Errorf("%w: height %d after %d", ErrStreamOrder, rec.Block.Height, last)
 		}
 	}
-	if w.max > 0 && len(w.ring) == w.max {
-		w.ring[w.head] = wb
-		w.head = (w.head + 1) % w.max
-	} else {
-		w.ring = append(w.ring, wb)
+	if w.max > 0 && len(w.recs) == w.max {
+		n := copy(w.recs, w.recs[1:])
+		w.recs[n] = *rec
+		return nil
 	}
-	w.lastHeight = h
-	w.anyBlocks = true
+	w.recs = append(w.recs, *rec)
 	return nil
 }
 
-// at returns the i-th retained delta in stream order (0 = oldest).
-func (w *WindowAuditor) at(i int) *windowBlock {
-	return &w.ring[(w.head+i)%len(w.ring)]
-}
-
-// ObserveSnapshot folds one mempool snapshot into the stream state. The
-// auditor only tracks arrival bookkeeping here — first-seen times live on
-// the index (see index.ObserveFirstSeen); window verdicts are block-driven.
-func (w *WindowAuditor) ObserveSnapshot(s *mempool.Snapshot) {
-	w.snapshots++
-	w.lastTip = s.TipHeight
-	w.lastTipSeen = true
-}
-
-// RestoreSnapshotStats reinstates snapshot bookkeeping recovered from a
-// checkpoint: the observed-snapshot count and the tip height the most recent
-// snapshot reported. Block state is not restored here — recovery rebuilds it
-// by re-observing the checkpointed records in height order.
-func (w *WindowAuditor) RestoreSnapshotStats(count int, lastTip int64, tipSeen bool) {
-	w.snapshots = count
-	w.lastTip = lastTip
-	w.lastTipSeen = tipSeen
-}
-
 // Len returns the number of blocks currently retained.
-func (w *WindowAuditor) Len() int { return len(w.ring) }
-
-// Snapshots returns the number of mempool snapshots observed.
-func (w *WindowAuditor) Snapshots() int { return w.snapshots }
-
-// LastSnapshotTip returns the tip height the most recent mempool snapshot
-// reported; ok is false before the first snapshot.
-func (w *WindowAuditor) LastSnapshotTip() (int64, bool) { return w.lastTip, w.lastTipSeen }
+func (w *WindowAuditor) Len() int { return len(w.recs) }
 
 // Heights returns the retained height range; ok is false for an empty
 // window.
 func (w *WindowAuditor) Heights() (lo, hi int64, ok bool) {
-	n := len(w.ring)
-	if n == 0 {
+	if len(w.recs) == 0 {
 		return 0, 0, false
 	}
-	return w.at(0).height, w.at(n - 1).height, true
+	return w.recs[0].Block.Height, w.recs[len(w.recs)-1].Block.Height, true
 }
 
-// tailStart returns the stream-order offset of the first block in the last
-// n retained blocks (all of them when n <= 0 or n exceeds the retained
-// count) — the windowed analogue of chain.Suffix.
-func (w *WindowAuditor) tailStart(n int) int {
-	if n <= 0 || n > len(w.ring) {
-		n = len(w.ring)
-	}
-	return len(w.ring) - n
-}
-
-// AuditPPE computes the Figure 7 PPE report over the last window blocks
-// (0 = every retained block), value-identical to Auditor.AuditPPE over the
-// corresponding chain suffix.
+// AuditPPE is Auditor.AuditPPE over the last window blocks (0 = every
+// retained block).
 func (w *WindowAuditor) AuditPPE(window int, opts AuditOptions) PPEReport {
-	minBlocks := opts.minBlocks()
-	var all []float64
-	perPool := make(map[string][]float64)
-	for i := w.tailStart(window); i < len(w.ring); i++ {
-		wb := w.at(i)
-		if !wb.ppeValid {
-			continue
-		}
-		all = append(all, wb.ppe)
-		perPool[wb.pool] = append(perPool[wb.pool], wb.ppe)
-	}
-	rep := PPEReport{Overall: stats.Summarize(all), PerPool: make(map[string]stats.Summary)}
-	for pool, vals := range perPool {
-		if len(vals) >= minBlocks && pool != poolid.Unknown {
-			rep.PerPool[pool] = stats.Summarize(vals)
-		}
-	}
-	return rep
+	return ppeReport(tail(w.recs, window), opts.minBlocks())
 }
 
-// AuditLowFee returns the norm III census over the last window blocks
-// (0 = every retained block) in chain order, value-identical to
-// Auditor.AuditLowFee over the corresponding chain suffix.
+// AuditLowFee is Auditor.AuditLowFee over the last window blocks (0 = every
+// retained block).
 func (w *WindowAuditor) AuditLowFee(window int) []LowFeeConfirmation {
-	var out []LowFeeConfirmation
-	for i := w.tailStart(window); i < len(w.ring); i++ {
-		out = append(out, w.at(i).lowFee...)
-	}
-	return out
+	return lowFee(tail(w.recs, window))
 }
 
-// AuditDarkFee scans the named pool's blocks within the last window blocks
-// (0 = every retained block) for candidates meeting opts.SPPE, ordered by
-// SPPE descending — value-identical to Auditor.AuditDarkFee over the
-// corresponding chain suffix. Candidates within a block keep audited order
-// before the stable sort, exactly as the batch detector appends them.
+// AuditDarkFee is Auditor.AuditDarkFee over the last window blocks (0 =
+// every retained block).
 func (w *WindowAuditor) AuditDarkFee(pool string, window int, opts AuditOptions) []Candidate {
-	minSPPE := opts.sppe()
-	var out []Candidate
-	for i := w.tailStart(window); i < len(w.ring); i++ {
-		wb := w.at(i)
-		if wb.pool != pool {
-			continue
-		}
-		for _, cand := range wb.cands {
-			if cand.SPPE >= minSPPE {
-				out = append(out, cand)
-			}
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].SPPE > out[j].SPPE })
-	return out
+	return detectAccelerated(tail(w.recs, window), pool, opts.sppe())
 }

@@ -22,10 +22,10 @@ func recAt(t *testing.T, h int64) *index.BlockRecord {
 	return r
 }
 
-// TestWindowAuditorRingDoesNotGrow pins the eviction fix: a bounded window
-// fed far more blocks than its capacity keeps a backing array of exactly
-// max entries — the old reslice (blocks = blocks[1:]) pinned an array that
-// grew with every observation.
+// TestWindowAuditorRingDoesNotGrow pins the eviction bound: a bounded window
+// fed far more blocks than its capacity keeps exactly max records in a
+// backing array that stays within 2×max — a plain reslice
+// (recs = recs[1:]) would pin an array that grew with every observation.
 func TestWindowAuditorRingDoesNotGrow(t *testing.T) {
 	const max = 8
 	w := NewWindowAuditor(max)
@@ -34,20 +34,20 @@ func TestWindowAuditorRingDoesNotGrow(t *testing.T) {
 			t.Fatalf("ObserveBlock(%d): %v", h, err)
 		}
 	}
-	if got := len(w.ring); got != max {
-		t.Fatalf("ring length %d, want %d", got, max)
+	if got := len(w.recs); got != max {
+		t.Fatalf("window length %d, want %d", got, max)
 	}
-	if got := cap(w.ring); got > 2*max {
-		t.Fatalf("ring capacity %d grew past the bound (max %d)", got, max)
+	if got := cap(w.recs); got > 2*max {
+		t.Fatalf("window capacity %d grew past the bound (max %d)", got, max)
 	}
 	lo, hi, ok := w.Heights()
 	if !ok || lo != 10*max-max+1 || hi != 10*max {
 		t.Fatalf("heights [%d, %d] ok=%v, want [%d, %d]", lo, hi, ok, 10*max-max+1, 10*max)
 	}
-	// Stream order survives wraparound.
+	// Stream order survives sliding.
 	for i := 1; i < w.Len(); i++ {
-		if w.at(i).height != w.at(i-1).height+1 {
-			t.Fatalf("ring out of order at %d: %d after %d", i, w.at(i).height, w.at(i-1).height)
+		if w.recs[i].Block.Height != w.recs[i-1].Block.Height+1 {
+			t.Fatalf("window out of order at %d: %d after %d", i, w.recs[i].Block.Height, w.recs[i-1].Block.Height)
 		}
 	}
 }

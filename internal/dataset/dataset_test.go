@@ -139,6 +139,7 @@ func TestBuildCSelfInterestDetectable(t *testing.T) {
 	c := dsC.Result.Chain
 	reg := dsC.Registry
 	payouts := dsC.Result.Truth.PayoutTxs
+	aud := &core.Auditor{Chain: c, Registry: reg}
 
 	selfish := map[string]bool{"F2Pool": true, "ViaBTC": true, "1THash&58Coin": true, "SlushPool": true}
 	for pool, ids := range payouts {
@@ -146,7 +147,7 @@ func TestBuildCSelfInterestDetectable(t *testing.T) {
 		for _, id := range ids {
 			set[id] = true
 		}
-		res, err := core.DifferentialTestEstimated(c, reg, pool, set)
+		res, err := aud.DifferentialTest(pool, set, core.AuditOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", pool, err)
 		}
@@ -180,7 +181,7 @@ func TestBuildCSelfInterestDetectable(t *testing.T) {
 		for _, id := range payouts[owner] {
 			set[id] = true
 		}
-		res, err := core.DifferentialTestEstimated(c, reg, "ViaBTC", set)
+		res, err := aud.DifferentialTest("ViaBTC", set, core.AuditOptions{})
 		if err != nil {
 			t.Fatalf("ViaBTC x %s: %v", owner, err)
 		}
@@ -285,8 +286,8 @@ func TestChainCSVRoundTrip(t *testing.T) {
 	// Positions, fees, and attribution survive: PPE series must be
 	// identical (it depends on order, fee, vsize, and CPFP links of first
 	// inputs).
-	orig := core.PPESeries(c)
-	rt := core.PPESeries(back)
+	orig := core.NewAuditor(c).PPESeries()
+	rt := core.NewAuditor(back).PPESeries()
 	if len(orig) != len(rt) {
 		t.Fatalf("PPE series length: %d vs %d", len(orig), len(rt))
 	}

@@ -39,7 +39,7 @@ func (s *Suite) AblationPolicyGap() (*report.Table, error) {
 		if err != nil {
 			return stats.Summary{}, err
 		}
-		return stats.Summarize(core.PPESeries(res.Chain)), nil
+		return stats.Summarize(core.NewAuditor(res.Chain).PPESeries()), nil
 	}
 	t := report.NewTable("Ablation: PPE under fee-rate vs ancestor-score mining", report.SummaryColumns("policy")...)
 	fr, err := run(gbt.FeeRate{}, s.Seed+201)

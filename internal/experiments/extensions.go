@@ -92,10 +92,11 @@ func (s *Suite) ExtCensorshipPower() (*report.Table, error) {
 		{Substring: "/RestPool/", Pool: "RestPool"},
 	})
 	set := payoutSet(res.Truth.ScamTxs)
+	aud := &core.Auditor{Chain: res.Chain, Registry: reg}
 	t := report.NewTable("Extension: deceleration test power against a planted censor",
 		"pool", "theta0", "x", "y", "p_decel", "p_accel", "verdict")
 	for _, pool := range []string{"CensorCo", "HonestCo"} {
-		r, err := core.DifferentialTestEstimated(res.Chain, reg, pool, set)
+		r, err := aud.DifferentialTest(pool, set, core.AuditOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("testing %s: %w", pool, err)
 		}
@@ -110,9 +111,9 @@ func (s *Suite) ExtCensorshipPower() (*report.Table, error) {
 
 // ExtStreamEquivalence pins the streaming refactor's headline invariant as
 // a first-class experiment: data set C replayed block by block through the
-// incremental index and sliding-window auditor (the POST /v1/ingest code
-// path) must render byte-identical PPE, low-fee, and dark-fee sections to
-// the batch auditor over the same height window. Any divergence is an
+// incremental index (the POST /v1/ingest code path) and audited over its
+// last n records must render byte-identical PPE, low-fee, and dark-fee
+// sections to the batch auditor over index.Build(chain.Suffix(n)). Any divergence is an
 // error, not a table row — this is a gate, like `make smoke-stream`, but
 // over the library layers alone.
 func (s *Suite) ExtStreamEquivalence() (*report.Table, error) {
@@ -120,13 +121,8 @@ func (s *Suite) ExtStreamEquivalence() (*report.Table, error) {
 	c := s.C.Result.Chain
 	reg := s.C.Registry
 	inc := index.NewIncremental(reg)
-	win := core.NewWindowAuditor(0)
 	for _, b := range c.Blocks() {
-		rec, err := inc.AppendBlock(b)
-		if err != nil {
-			return nil, err
-		}
-		if err := win.ObserveBlock(rec); err != nil {
+		if _, err := inc.AppendBlock(b); err != nil {
 			return nil, err
 		}
 	}
@@ -139,7 +135,8 @@ func (s *Suite) ExtStreamEquivalence() (*report.Table, error) {
 	t := report.NewTable("Extension: stream-replay audit equivalence (C)",
 		"window", "blocks", "ppe", "lowfee", "darkfee_pools")
 	for _, n := range []int{8, 32, 128, 0} {
-		batch := &core.Auditor{Chain: c.Suffix(n), Registry: reg}
+		batch := core.NewIndexedAuditor(index.Build(c.Suffix(n), reg))
+		win := core.NewIndexedAuditor(inc).Last(n)
 		wantPPE, err := render(func(w io.Writer) error {
 			return core.WritePPESection(w, batch.AuditPPE(core.AuditOptions{}))
 		})
@@ -147,7 +144,7 @@ func (s *Suite) ExtStreamEquivalence() (*report.Table, error) {
 			return nil, err
 		}
 		gotPPE, err := render(func(w io.Writer) error {
-			return core.WritePPESection(w, win.AuditPPE(n, core.AuditOptions{}))
+			return core.WritePPESection(w, win.AuditPPE(core.AuditOptions{}))
 		})
 		if err != nil {
 			return nil, err
@@ -162,7 +159,7 @@ func (s *Suite) ExtStreamEquivalence() (*report.Table, error) {
 			return nil, err
 		}
 		gotLow, err := render(func(w io.Writer) error {
-			return core.WriteLowFeeSection(w, win.AuditLowFee(n))
+			return core.WriteLowFeeSection(w, win.AuditLowFee(core.AuditOptions{}))
 		})
 		if err != nil {
 			return nil, err
@@ -178,7 +175,7 @@ func (s *Suite) ExtStreamEquivalence() (*report.Table, error) {
 				return nil, err
 			}
 			gotDark, err := render(func(w io.Writer) error {
-				return core.WriteDarkFeeSection(w, pool, core.DefaultSPPE, win.AuditDarkFee(pool, n, core.AuditOptions{}))
+				return core.WriteDarkFeeSection(w, pool, core.DefaultSPPE, win.AuditDarkFee(pool, core.AuditOptions{}))
 			})
 			if err != nil {
 				return nil, err

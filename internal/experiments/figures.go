@@ -50,7 +50,7 @@ func (s *Suite) Fig01NormShift() (*report.Figure, error) {
 		if err != nil {
 			return nil, fmt.Errorf("era %s: %w", label, err)
 		}
-		return core.PPESeries(res.Chain), nil
+		return core.NewAuditor(res.Chain).PPESeries(), nil
 	}
 	pre, err := mkEra("pre-2016", gbt.Priority{}, 400_000, s.Seed+101)
 	if err != nil {

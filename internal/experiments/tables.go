@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"time"
 
 	"chainaudit/internal/chain"
@@ -42,7 +41,7 @@ func (s *Suite) Table2SelfInterest() (*report.Table, []core.SelfInterestFinding,
 	for owner, ids := range s.C.Result.Truth.PayoutTxs {
 		sets[owner] = payoutSet(ids)
 	}
-	all, err := core.SelfInterestGridCtx(context.Background(), s.CIndex(), sets, 0.04)
+	all, err := s.CAuditor().SelfInterestGrid(sets, core.AuditOptions{MinShare: 0.04})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -119,10 +118,17 @@ func (s *Suite) NormIIICensus() *report.Table {
 	defer obs.Timed("experiment.norm3")()
 	t := report.NewTable("Norm III: confirmed below-minimum fee-rate transactions",
 		"dataset", "pool", "count", "zero_fee")
-	for _, ds := range []*dataset.Dataset{s.B, s.C} {
+	for _, set := range []struct {
+		ds  *dataset.Dataset
+		aud *core.Auditor
+	}{
+		{s.B, &core.Auditor{Chain: s.B.Result.Chain, Registry: s.B.Registry}},
+		{s.C, s.CAuditor()},
+	} {
+		ds := set.ds
 		byPool := map[string]int{}
 		zeroByPool := map[string]int{}
-		for _, lf := range core.LowFeeConfirmations(ds.Result.Chain, ds.Registry) {
+		for _, lf := range set.aud.AuditLowFee(core.AuditOptions{}) {
 			byPool[lf.Pool]++
 			if lf.ZeroFee {
 				zeroByPool[lf.Pool]++

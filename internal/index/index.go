@@ -168,8 +168,8 @@ type BlockIndex struct {
 	// unconfirmed transactions exactly as firstSeen does.
 	sourceSeen map[chain.TxID]map[string]time.Time
 	sources    map[string]bool
-	exec      *pipeline.Executor
-	appendFn  func(*chain.Chain, *chain.Block) error
+	exec       *pipeline.Executor
+	appendFn   func(*chain.Chain, *chain.Block) error
 
 	// rewardAddr, owner, and selfSets are maintained incrementally: each
 	// ingested block contributes its reward address, and a newly discovered
@@ -218,12 +218,13 @@ func WithAppender(f func(*chain.Chain, *chain.Block) error) Option {
 // WithRetention bounds the index to the most recent n block records
 // (0 = unbounded). After each append past the horizon the oldest record is
 // compacted away together with the first-seen entries of the transactions
-// it confirmed. Compaction is invisible to everything aggregate or
-// windowed: pool shares keep the full-history denominator (ingested, not
-// retained, blocks), the incremental reward-address/self-interest maps are
-// already folded, and windowed audits over any window ≤ n read only
-// retained records. Full-chain audits and per-record accessors see the
-// retained horizon only; the underlying chain is not compacted.
+// it confirmed. The retained records are the audit horizon: every audit in
+// internal/core reads them and nothing else, so a full audit of a retained
+// index covers exactly the last n blocks, and windowed audits over any
+// window ≤ n are unaffected by compaction. Non-audit aggregates survive
+// it: pool shares keep the full-history denominator (ingested, not
+// retained, blocks) and the incremental reward-address/self-interest maps
+// are already folded. The underlying chain is not compacted.
 func WithRetention(n int) Option {
 	if n < 0 {
 		n = 0

@@ -75,15 +75,12 @@ func TestIndexMatchesSerialAudits(t *testing.T) {
 	c, reg := ds.Result.Chain, ds.Registry
 	ix := index.Build(c, reg)
 
-	// Per-block PPE series.
-	want := core.PPESeries(c)
-	got := core.PPESeriesOnIndex(ix)
-	if len(want) != len(got) {
-		t.Fatalf("PPE series lengths: %d vs %d", len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("PPE[%d]: %v vs %v", i, want[i], got[i])
+	// Per-block PPE and attribution.
+	for i, b := range c.Blocks() {
+		want, wantOK := core.PPE(b)
+		rec := ix.Record(i)
+		if rec.PPE != want || rec.PPEValid != wantOK || rec.Pool != reg.AttributeBlock(b) {
+			t.Fatalf("record %d: PPE %v/%v pool %q, want %v/%v %q", i, rec.PPE, rec.PPEValid, rec.Pool, want, wantOK, reg.AttributeBlock(b))
 		}
 	}
 
@@ -99,8 +96,14 @@ func TestIndexMatchesSerialAudits(t *testing.T) {
 		}
 	}
 
-	// Top-pool roster.
-	wantTop := core.TopPoolsByShare(c, reg, 0.04)
+	// Top-pool roster: the shares above, in order, minus Unknown and the
+	// pools under 4%.
+	var wantTop []string
+	for _, s := range shares {
+		if s.Pool != poolid.Unknown && s.HashRate >= 0.04 {
+			wantTop = append(wantTop, s.Pool)
+		}
+	}
 	gotTop := ix.TopPoolsByShare(0.04)
 	if len(wantTop) != len(gotTop) {
 		t.Fatalf("top pools: %v vs %v", wantTop, gotTop)
@@ -127,7 +130,7 @@ func TestIndexMatchesSerialAudits(t *testing.T) {
 			}
 		}
 	}
-	wantSets := core.SelfInterestSets(c, reg)
+	wantSets := serialSelfInterestSets(c, reg)
 	gotSets := ix.SelfInterestSets()
 	if len(wantSets) != len(gotSets) {
 		t.Fatalf("self-interest pool counts: %d vs %d", len(wantSets), len(gotSets))
@@ -142,6 +145,36 @@ func TestIndexMatchesSerialAudits(t *testing.T) {
 			}
 		}
 	}
+}
+
+// serialSelfInterestSets derives the §5.2 self-interest sets the serial
+// way: collect every identified pool's reward addresses over the whole
+// chain, then credit each transaction touching one to the owning pool.
+func serialSelfInterestSets(c *chain.Chain, reg *poolid.Registry) map[string]map[chain.TxID]bool {
+	owner := make(map[chain.Address]string)
+	for pool, addrs := range poolid.RewardAddresses(c, reg) {
+		if pool == poolid.Unknown {
+			continue
+		}
+		for a := range addrs {
+			owner[a] = pool
+		}
+	}
+	out := make(map[string]map[chain.TxID]bool)
+	for _, b := range c.Blocks() {
+		for _, tx := range b.Body() {
+			for a, pool := range owner {
+				if !tx.Touches(a) {
+					continue
+				}
+				if out[pool] == nil {
+					out[pool] = make(map[chain.TxID]bool)
+				}
+				out[pool][tx.ID] = true
+			}
+		}
+	}
+	return out
 }
 
 // TestLocateRecordAndFirstSeen covers the index's transaction lookups.

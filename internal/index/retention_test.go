@@ -26,22 +26,12 @@ func TestRetentionBoundsAndEquivalence(t *testing.T) {
 
 	bounded := index.NewIncremental(reg, index.WithRetention(retain))
 	unbounded := index.NewIncremental(reg)
-	winB := core.NewWindowAuditor(retain)
-	winU := core.NewWindowAuditor(retain)
 	for _, b := range c.Blocks() {
-		recB, err := bounded.AppendBlock(b)
-		if err != nil {
+		if _, err := bounded.AppendBlock(b); err != nil {
 			t.Fatalf("bounded AppendBlock(%d): %v", b.Height, err)
 		}
-		recU, err := unbounded.AppendBlock(b)
-		if err != nil {
+		if _, err := unbounded.AppendBlock(b); err != nil {
 			t.Fatalf("unbounded AppendBlock(%d): %v", b.Height, err)
-		}
-		if err := winB.ObserveBlock(recB); err != nil {
-			t.Fatalf("bounded ObserveBlock(%d): %v", b.Height, err)
-		}
-		if err := winU.ObserveBlock(recU); err != nil {
-			t.Fatalf("unbounded ObserveBlock(%d): %v", b.Height, err)
 		}
 		if bounded.Len() > retain {
 			t.Fatalf("height %d: retained %d records, horizon %d", b.Height, bounded.Len(), retain)
@@ -80,8 +70,9 @@ func TestRetentionBoundsAndEquivalence(t *testing.T) {
 		}
 	}
 
-	// Windowed audits over any window ≤ retain are byte-identical to the
-	// unbounded window and to the batch audit of the chain suffix.
+	// Windowed audits over any window ≤ retain are byte-identical between
+	// the bounded and unbounded indexes and to the batch audit of the chain
+	// suffix.
 	render := func(f func(io.Writer) error) string {
 		var b bytes.Buffer
 		if err := f(&b); err != nil {
@@ -93,14 +84,15 @@ func TestRetentionBoundsAndEquivalence(t *testing.T) {
 	for _, n := range []int{1, 7, retain} {
 		batch := &core.Auditor{Chain: c.Suffix(n), Registry: reg}
 		want := render(func(w io.Writer) error { return core.WritePPESection(w, batch.AuditPPE(core.AuditOptions{})) })
-		for name, win := range map[string]*core.WindowAuditor{"bounded": winB, "unbounded": winU} {
-			got := render(func(w io.Writer) error { return core.WritePPESection(w, win.AuditPPE(n, core.AuditOptions{})) })
+		winB := core.NewIndexedAuditor(bounded).Last(n)
+		for name, win := range map[string]*core.Auditor{"bounded": winB, "unbounded": core.NewIndexedAuditor(unbounded).Last(n)} {
+			got := render(func(w io.Writer) error { return core.WritePPESection(w, win.AuditPPE(core.AuditOptions{})) })
 			if got != want {
 				t.Errorf("window %d (%s index): PPE diverged from batch suffix", n, name)
 			}
 		}
 		wantLow := render(func(w io.Writer) error { return core.WriteLowFeeSection(w, batch.AuditLowFee(core.AuditOptions{})) })
-		gotLow := render(func(w io.Writer) error { return core.WriteLowFeeSection(w, winB.AuditLowFee(n)) })
+		gotLow := render(func(w io.Writer) error { return core.WriteLowFeeSection(w, winB.AuditLowFee(core.AuditOptions{})) })
 		if gotLow != wantLow {
 			t.Errorf("window %d: low-fee section diverged after compaction", n)
 		}
@@ -109,7 +101,7 @@ func TestRetentionBoundsAndEquivalence(t *testing.T) {
 				return core.WriteDarkFeeSection(w, pool, core.DefaultSPPE, batch.AuditDarkFee(pool, core.AuditOptions{}))
 			})
 			gotDark := render(func(w io.Writer) error {
-				return core.WriteDarkFeeSection(w, pool, core.DefaultSPPE, winB.AuditDarkFee(pool, n, core.AuditOptions{}))
+				return core.WriteDarkFeeSection(w, pool, core.DefaultSPPE, winB.AuditDarkFee(pool, core.AuditOptions{}))
 			})
 			if gotDark != wantDark {
 				t.Errorf("window %d pool %s: dark-fee section diverged after compaction", n, pool)

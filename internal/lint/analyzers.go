@@ -16,10 +16,10 @@ import (
 // policy).
 var deterministicPkgs = []string{
 	"sim", "chain", "mempool", "core", "experiments", "faults", "p2p", "dataset", "stats",
-	// The streaming refactor moved index construction and audit-state
-	// maintenance onto per-block append paths (index.AppendBlock,
-	// core.WindowAuditor); internal/index and internal/workload are in scope
-	// so wall-clock or randomness can't leak into replayed streams.
+	// The streaming refactor moved index construction onto a per-block
+	// append path (index.AppendBlock), and every audit reads the index's
+	// records; internal/index and internal/workload are in scope so
+	// wall-clock or randomness can't leak into replayed streams.
 	"index", "workload",
 }
 

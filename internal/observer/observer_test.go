@@ -93,10 +93,9 @@ func TestChainSourceIndexSinkMatchesBatch(t *testing.T) {
 	ds := buildA(t)
 	c, reg := ds.Result.Chain, ds.Registry
 	ix := index.NewIncremental(reg)
-	win := core.NewWindowAuditor(0)
 
 	stats, err := observer.Run(context.Background(),
-		observer.NewChainSource(c), &observer.IndexSink{Index: ix, Win: win},
+		observer.NewChainSource(c), &observer.IndexSink{Index: ix},
 		observer.Config{BatchBlocks: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +118,9 @@ func TestChainSourceIndexSinkMatchesBatch(t *testing.T) {
 	for _, n := range []int{1, 7, 16} {
 		batch := &core.Auditor{Chain: c.Suffix(n), Registry: reg}
 		want := render(func(w io.Writer) error { return core.WritePPESection(w, batch.AuditPPE(core.AuditOptions{})) })
-		got := render(func(w io.Writer) error { return core.WritePPESection(w, win.AuditPPE(n, core.AuditOptions{})) })
+		got := render(func(w io.Writer) error {
+			return core.WritePPESection(w, core.NewIndexedAuditor(ix).Last(n).AuditPPE(core.AuditOptions{}))
+		})
 		if got != want {
 			t.Errorf("window %d: PPE diverged from batch suffix", n)
 		}

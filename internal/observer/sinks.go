@@ -12,22 +12,19 @@ import (
 	"time"
 
 	"chainaudit/internal/chain"
-	"chainaudit/internal/core"
 	"chainaudit/internal/faults"
 	"chainaudit/internal/index"
-	"chainaudit/internal/mempool"
 	"chainaudit/internal/serve"
 	"chainaudit/internal/stats"
 )
 
-// IndexSink applies batches to an in-process incremental index and window
-// auditor, mirroring serve.handleIngest's apply order exactly (blocks first,
-// then snapshots; snapshot counts from the frame; zero first-seen times fall
-// back to the snapshot time) so an in-process run and an HTTP run over the
-// same event stream land on identical audit state.
+// IndexSink applies batches to an in-process incremental index, mirroring
+// serve.handleIngest's apply order exactly (blocks first, then snapshots;
+// zero first-seen times fall back to the snapshot time) so an in-process
+// run and an HTTP run over the same event stream land on identical audit
+// state. Audit the index through core.NewIndexedAuditor.
 type IndexSink struct {
 	Index *index.BlockIndex
-	Win   *core.WindowAuditor
 	// Source attributes this sink's snapshot observations to a named
 	// vantage point in the index's per-source ledger; empty merges
 	// anonymously (the single-observer behavior).
@@ -41,14 +38,8 @@ func (s *IndexSink) Apply(ctx context.Context, b *Batch) error {
 		return err
 	}
 	for _, blk := range b.Blocks {
-		rec, err := s.Index.AppendBlock(blk)
-		if err != nil {
+		if _, err := s.Index.AppendBlock(blk); err != nil {
 			return err
-		}
-		if s.Win != nil {
-			if err := s.Win.ObserveBlock(rec); err != nil {
-				return err
-			}
 		}
 	}
 	for _, sn := range b.Snapshots {
@@ -61,13 +52,6 @@ func (s *IndexSink) Apply(ctx context.Context, b *Batch) error {
 			seen[ev.TxID] = at
 		}
 		s.Index.ObserveFirstSeenFrom(s.Source, seen)
-		if s.Win != nil {
-			s.Win.ObserveSnapshot(&mempool.Snapshot{
-				Time:      sn.Time,
-				Count:     len(sn.Seen),
-				TipHeight: sn.TipHeight,
-			})
-		}
 	}
 	return nil
 }

@@ -435,10 +435,9 @@ type auditReq struct {
 	sppeShow float64
 	address  string
 	pool     string
-	// windowed selects the sliding-window audit variant; window is the
-	// height-window size in blocks (0 = every retained block).
-	windowed bool
-	window   int
+	// window narrows the audit to the set's most recent window retained
+	// blocks (0 = every retained block).
+	window int
 	// div carries the divergence audit's knobs (?threshold_ms=, ?minshared=).
 	div core.DivergenceOptions
 }
@@ -512,7 +511,6 @@ func parseAudit(kind string, q url.Values) (*auditReq, map[string]string, error)
 		default:
 			return nil, nil, fmt.Errorf("audit %s has no sliding-window variant (ppe, lowfee, darkfee)", kind)
 		}
-		req.windowed = true
 		req.window = v
 		params["window"] = raw
 	}
@@ -536,18 +534,20 @@ func parseAudit(kind string, q url.Values) (*auditReq, map[string]string, error)
 // auditRunners computes each audit kind into a payload, through exactly the
 // AuditOptions methods and section renderers cmd/chainaudit uses — the text
 // body is byte-identical to the CLI's section for the same chain and
-// parameters.
-var auditRunners = map[string]func(set *auditSet, req *auditReq) (*payload, error){
-	"ppe": func(set *auditSet, req *auditReq) (*payload, error) {
-		rep := set.aud.AuditPPE(req.opts)
+// parameters. A windowed request hands the runner the set's auditor
+// narrowed by Auditor.Last, so every audit — full or windowed, static or
+// streaming — reads the same retained records through one code path.
+var auditRunners = map[string]func(aud *core.Auditor, req *auditReq) (*payload, error){
+	"ppe": func(aud *core.Auditor, req *auditReq) (*payload, error) {
+		rep := aud.AuditPPE(req.opts)
 		p := &payload{Notes: []string{fmt.Sprintf("PPE overall: %s", rep.Overall)}}
 		if err := p.addTables(core.PPETable(rep)); err != nil {
 			return nil, err
 		}
 		return p, renderInto(p, func(w io.Writer) error { return core.WritePPESection(w, rep) })
 	},
-	"selfinterest": func(set *auditSet, req *auditReq) (*payload, error) {
-		rep, err := set.aud.AuditSelfInterest(req.opts)
+	"selfinterest": func(aud *core.Auditor, req *auditReq) (*payload, error) {
+		rep, err := aud.AuditSelfInterest(req.opts)
 		if err != nil {
 			return nil, err
 		}
@@ -565,8 +565,8 @@ var auditRunners = map[string]func(set *auditSet, req *auditReq) (*payload, erro
 		}
 		return p, renderInto(p, func(w io.Writer) error { return core.WriteSelfInterestSection(w, rep) })
 	},
-	"lowfee": func(set *auditSet, req *auditReq) (*payload, error) {
-		lows := set.aud.AuditLowFee(req.opts)
+	"lowfee": func(aud *core.Auditor, req *auditReq) (*payload, error) {
+		lows := aud.AuditLowFee(req.opts)
 		p := &payload{}
 		if len(lows) == 0 {
 			p.Notes = []string{"norm III: no sub-minimum confirmations"}
@@ -575,12 +575,12 @@ var auditRunners = map[string]func(set *auditSet, req *auditReq) (*payload, erro
 		}
 		return p, renderInto(p, func(w io.Writer) error { return core.WriteLowFeeSection(w, lows) })
 	},
-	"scam": func(set *auditSet, req *auditReq) (*payload, error) {
-		txs := core.TouchingAddress(set.aud.Chain, chain.Address(req.address))
+	"scam": func(aud *core.Auditor, req *auditReq) (*payload, error) {
+		txs := aud.TouchingAddress(chain.Address(req.address))
 		var rows []core.DifferentialResult
 		if len(txs) > 0 {
 			var err error
-			if rows, err = set.aud.AuditScam(txs, req.opts); err != nil {
+			if rows, err = aud.AuditScam(txs, req.opts); err != nil {
 				return nil, err
 			}
 		}
@@ -594,8 +594,8 @@ var auditRunners = map[string]func(set *auditSet, req *auditReq) (*payload, erro
 			return core.WriteScamSection(w, req.address, len(txs), rows)
 		})
 	},
-	"darkfee": func(set *auditSet, req *auditReq) (*payload, error) {
-		cands := set.aud.AuditDarkFee(req.pool, req.opts)
+	"darkfee": func(aud *core.Auditor, req *auditReq) (*payload, error) {
+		cands := aud.AuditDarkFee(req.pool, req.opts)
 		p := &payload{Notes: []string{fmt.Sprintf("%d candidates", len(cands))}}
 		if len(cands) > 0 {
 			if err := p.addTables(core.DarkFeeTable(req.pool, req.sppeShow, cands)); err != nil {
@@ -606,8 +606,8 @@ var auditRunners = map[string]func(set *auditSet, req *auditReq) (*payload, erro
 			return core.WriteDarkFeeSection(w, req.pool, req.sppeShow, cands)
 		})
 	},
-	"divergence": func(set *auditSet, req *auditReq) (*payload, error) {
-		rep := set.aud.AuditDivergence(req.div)
+	"divergence": func(aud *core.Auditor, req *auditReq) (*payload, error) {
+		rep := aud.AuditDivergence(req.div)
 		p := &payload{}
 		if len(rep.Sources) == 0 {
 			p.Notes = []string{"divergence audit: no attributed observation sources"}
@@ -627,55 +627,6 @@ var auditRunners = map[string]func(set *auditSet, req *auditReq) (*payload, erro
 			}
 		}
 		return p, renderInto(p, func(w io.Writer) error { return core.WriteDivergenceSection(w, rep) })
-	},
-}
-
-// windowRunners computes the sliding-window audit variants through the
-// set's WindowAuditor and the same section renderers the batch runners use,
-// so a windowed response over the full window is byte-identical to the
-// batch audit of the same blocks.
-var windowRunners = map[string]func(set *auditSet, req *auditReq) (*payload, error){
-	"ppe": func(set *auditSet, req *auditReq) (*payload, error) {
-		win, err := set.window()
-		if err != nil {
-			return nil, err
-		}
-		rep := win.AuditPPE(req.window, req.opts)
-		p := &payload{Notes: []string{fmt.Sprintf("PPE overall: %s", rep.Overall)}}
-		if err := p.addTables(core.PPETable(rep)); err != nil {
-			return nil, err
-		}
-		return p, renderInto(p, func(w io.Writer) error { return core.WritePPESection(w, rep) })
-	},
-	"lowfee": func(set *auditSet, req *auditReq) (*payload, error) {
-		win, err := set.window()
-		if err != nil {
-			return nil, err
-		}
-		lows := win.AuditLowFee(req.window)
-		p := &payload{}
-		if len(lows) == 0 {
-			p.Notes = []string{"norm III: no sub-minimum confirmations"}
-		} else if err := p.addTables(core.LowFeeTable(lows)); err != nil {
-			return nil, err
-		}
-		return p, renderInto(p, func(w io.Writer) error { return core.WriteLowFeeSection(w, lows) })
-	},
-	"darkfee": func(set *auditSet, req *auditReq) (*payload, error) {
-		win, err := set.window()
-		if err != nil {
-			return nil, err
-		}
-		cands := win.AuditDarkFee(req.pool, req.window, req.opts)
-		p := &payload{Notes: []string{fmt.Sprintf("%d candidates", len(cands))}}
-		if len(cands) > 0 {
-			if err := p.addTables(core.DarkFeeTable(req.pool, req.sppeShow, cands)); err != nil {
-				return nil, err
-			}
-		}
-		return p, renderInto(p, func(w io.Writer) error {
-			return core.WriteDarkFeeSection(w, req.pool, req.sppeShow, cands)
-		})
 	},
 }
 
@@ -711,9 +662,6 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, env, err)
 		return
 	}
-	if req.windowed {
-		runner = windowRunners[kind]
-	}
 	env.Params = params
 	wd, err := s.timeout(q)
 	if err != nil {
@@ -730,14 +678,14 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		return s.runBounded(r.Context(), wd, func(ctx context.Context) (*payload, error) {
 			bounded := *req
 			bounded.opts.Ctx = ctx
-			// Audits read the set's (possibly streaming) index and window
-			// state under the read lock, serialized against ingest appends.
+			// Audits read the set's (possibly streaming) index under the
+			// read lock, serialized against ingest appends.
 			set.mu.RLock()
 			defer set.mu.RUnlock()
-			if bounded.windowed {
+			if _, windowed := params["window"]; windowed {
 				defer mReaudit.Time()()
 			}
-			return runner(set, &bounded)
+			return runner(set.aud.Last(bounded.window), &bounded)
 		})
 	})
 	env.ElapsedMS = t.ms()

@@ -13,7 +13,6 @@ import (
 	"chainaudit/internal/core"
 	"chainaudit/internal/dataset"
 	"chainaudit/internal/index"
-	"chainaudit/internal/mempool"
 	"chainaudit/internal/obs"
 	"chainaudit/internal/poolid"
 )
@@ -215,7 +214,7 @@ func buildFrameBlock(f *BlockFrame) (*chain.Block, error) {
 // single-edge transactions the CSVs do, so the chain grows through
 // dataset.AppendLoose — a replayed stream lands on the identical chain a
 // CSV round trip produces. A positive retain bounds the incremental index
-// and window state to the most recent retain blocks.
+// to the most recent retain blocks.
 func newStreamSet(name string, retain int) *auditSet {
 	opts := []index.Option{index.WithAppender(dataset.AppendLoose)}
 	if retain > 0 {
@@ -226,10 +225,7 @@ func newStreamSet(name string, retain int) *auditSet {
 		name:        name,
 		fingerprint: obs.ConfigHash("stream", name, "empty"),
 		aud:         core.NewIndexedAuditor(ix),
-		stream: &streamState{
-			ix:  ix,
-			win: core.NewWindowAuditor(retain),
-		},
+		stream:      &streamState{ix: ix},
 	}
 }
 
@@ -285,11 +281,10 @@ func (s *Server) handleIngestV2(w http.ResponseWriter, r *http.Request) { s.inge
 // applied before it stays. With durable streaming enabled, the parsed batch
 // is appended to the set's write-ahead log before it is applied — a WAL
 // failure answers 503 without applying anything, so an acknowledged batch
-// is always recoverable. Each applied block updates the incremental index,
-// the sliding-window audit state, the ingest watermark, and rotates the
-// set's fingerprint (retiring its result-cache entries); applied snapshot
-// frames rotate the fingerprint too, since first-seen times are
-// audit-visible state. Rejections answer with the unified ErrorEnvelope,
+// is always recoverable. Each applied block updates the incremental index
+// and the ingest watermark, and rotates the set's fingerprint (retiring its
+// result-cache entries); applied snapshot frames rotate the fingerprint
+// too, since first-seen times are audit-visible state. Rejections answer with the unified ErrorEnvelope,
 // which carries the same progress fields a 200 IngestResponse does.
 func (s *Server) ingest(w http.ResponseWriter, r *http.Request, api string) {
 	mIngestRequests.Inc()
@@ -414,21 +409,12 @@ func (s *Server) applyFrames(set *auditSet, req *IngestRequest, blocks []*chain.
 	st := set.stream
 	for _, b := range blocks {
 		bt := startTimer()
-		rec, err := st.ix.AppendBlock(b)
-		if err != nil {
+		if _, err := st.ix.AppendBlock(b); err != nil {
 			mIngestRejects.Inc()
 			resp.Error = err.Error()
 			break
 		}
 		mIngestAppend.Observe(bt.elapsed())
-		// The index just accepted the block, so the window cannot see it out
-		// of order; a failure here means the append invariant broke and the
-		// batch stops exactly like an unappendable block.
-		if err := st.win.ObserveBlock(rec); err != nil {
-			mIngestRejects.Inc()
-			resp.Error = err.Error()
-			break
-		}
 		st.appends++
 		st.lastHeight = b.Height
 		st.lastAppend = s.now()
@@ -461,11 +447,6 @@ func (s *Server) applyFrames(set *auditSet, req *IngestRequest, blocks []*chain.
 				src = req.Source
 			}
 			st.ix.ObserveFirstSeenFrom(src, seen)
-			st.win.ObserveSnapshot(&mempool.Snapshot{
-				Time:      time.Unix(0, sf.TimeNS),
-				Count:     len(sf.Txs),
-				TipHeight: sf.TipHeight,
-			})
 			// Snapshots change audit-visible state (first-seen times feed the
 			// dark-fee/violation paths), so they rotate the fingerprint just
 			// like appends do — otherwise cached verdicts would survive new

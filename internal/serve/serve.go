@@ -2,17 +2,18 @@
 // service over one or more chain data sets (CSV files, freshly simulated
 // suites, or live streams). Startup data sets are loaded once into shared
 // audit indexes; streaming data sets grow block by block through
-// POST /v1/ingest, with the incremental index and sliding-window audit
-// state updated per append and the set's fingerprint rotated so stale cache
-// entries retire themselves. Every request runs through the context-aware
-// pipeline executor under a per-request watchdog, and completed results are
-// memoized by (dataset fingerprint, audit, params). Audits and experiments
-// resolve through exactly the code paths the batch CLIs use — core.Auditor's
-// AuditOptions API, the shared section renderers, and the experiments
-// registry — so a service response is value-identical (for text formats,
-// byte-identical) to the corresponding CLI output, and a replayed stream is
-// byte-identical to the batch audit of the same window. See DESIGN.md §8
-// and §11.
+// POST /v1/ingest, with the incremental index updated per append and the
+// set's fingerprint rotated so stale cache entries retire themselves. Every
+// audit — full or windowed, static or streaming — reads the set index's
+// retained records through core.Auditor. Every request runs through the
+// context-aware pipeline executor under a per-request watchdog, and
+// completed results are memoized by (dataset fingerprint, audit, params).
+// Audits and experiments resolve through exactly the code paths the batch
+// CLIs use — core.Auditor's AuditOptions API, the shared section
+// renderers, and the experiments registry — so a service response is
+// value-identical (for text formats, byte-identical) to the corresponding
+// CLI output, and a replayed stream is byte-identical to the batch audit of
+// the same window. See DESIGN.md §8 and §11.
 package serve
 
 import (
@@ -75,11 +76,11 @@ type Config struct {
 	// lag metrics (nil = time.Now). Tests inject a fixed clock; result bytes
 	// never depend on it.
 	Clock func() time.Time
-	// StreamRetain bounds each streaming data set's incremental index and
-	// window state to the most recent N blocks (0 = unbounded). Aggregate
-	// pool shares and windowed audits over any window ≤ N are unaffected by
-	// the compaction (see DESIGN.md §12); full-chain audits shrink to the
-	// retained horizon.
+	// StreamRetain bounds each streaming data set's incremental index to
+	// the most recent N blocks (0 = unbounded). Every audit reads the
+	// retained horizon — full-chain audits cover exactly those N blocks —
+	// and windowed audits over any window ≤ N are unaffected by the
+	// compaction (see DESIGN.md §12).
 	StreamRetain int
 	// StreamDir enables durable streaming: every accepted ingest batch is
 	// appended to a per-set write-ahead log under this directory before the
@@ -122,46 +123,15 @@ type auditSet struct {
 	// for sets created live.
 	wal      *setWAL
 	recovery *recoveryInfo
-
-	// winOnce/winAud/winErr lazily build the sliding-window auditor for
-	// startup-loaded sets by replaying the batch index — so windowed audits
-	// on static and streaming data go through the identical code path.
-	winOnce sync.Once
-	winAud  *core.WindowAuditor
-	winErr  error
 }
 
 // streamState is the live-ingest side of a streaming data set.
 type streamState struct {
 	ix         *index.BlockIndex
-	win        *core.WindowAuditor
 	appends    int64
 	snapshots  int64
 	lastHeight int64
 	lastAppend time.Time
-}
-
-// window returns the set's sliding-window auditor. Streaming sets maintain
-// it on ingest; static sets replay their batch index into one on first use.
-// The replay error is retained and re-reported (index records are strictly
-// height-ordered, so it only fires if that invariant breaks). Callers hold
-// mu (read or write).
-func (set *auditSet) window() (*core.WindowAuditor, error) {
-	if set.stream != nil {
-		return set.stream.win, nil
-	}
-	set.winOnce.Do(func() {
-		w := core.NewWindowAuditor(0)
-		ix := set.aud.Index()
-		for i := 0; i < ix.Len(); i++ {
-			if err := w.ObserveBlock(ix.Record(i)); err != nil {
-				set.winErr = fmt.Errorf("window replay of %q: %w", set.name, err)
-				return
-			}
-		}
-		set.winAud = w
-	})
-	return set.winAud, set.winErr
 }
 
 // watermark reports a streaming set's ingest progress; ok is false for

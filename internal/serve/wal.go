@@ -304,26 +304,23 @@ type walCheckpoint struct {
 	Dataset string `json:"dataset"`
 	// WALLines is how many lines of the set's WAL this checkpoint already
 	// covers; recovery replays only the suffix past them.
-	WALLines     int           `json:"wal_lines"`
-	Fingerprint  string        `json:"fingerprint"`
-	Retain       int           `json:"retain"`
-	Ingested     int64         `json:"ingested"`
-	Dropped      int           `json:"dropped"`
-	Appends      int64         `json:"appends"`
-	Snapshots    int64         `json:"snapshots"`
-	LastHeight   int64         `json:"last_height"`
-	Txs          int64         `json:"txs"`
-	WinSnapshots int           `json:"win_snapshots"`
-	LastTip      int64         `json:"last_tip"`
-	TipSeen      bool          `json:"tip_seen"`
-	Blocks       []BlockFrame  `json:"blocks"`
-	FirstSeen    []ckptSeen    `json:"first_seen,omitempty"`
-	SourceSeen   []ckptSrcSeen `json:"source_seen,omitempty"`
-	Sources      []string      `json:"sources,omitempty"`
-	Shares       []ckptShare   `json:"shares,omitempty"`
-	RewardAddrs  []ckptAddrs   `json:"reward_addrs,omitempty"`
-	Owners       []ckptOwner   `json:"owners,omitempty"`
-	SelfSets     []ckptSelfSet `json:"self_sets,omitempty"`
+	WALLines    int           `json:"wal_lines"`
+	Fingerprint string        `json:"fingerprint"`
+	Retain      int           `json:"retain"`
+	Ingested    int64         `json:"ingested"`
+	Dropped     int           `json:"dropped"`
+	Appends     int64         `json:"appends"`
+	Snapshots   int64         `json:"snapshots"`
+	LastHeight  int64         `json:"last_height"`
+	Txs         int64         `json:"txs"`
+	Blocks      []BlockFrame  `json:"blocks"`
+	FirstSeen   []ckptSeen    `json:"first_seen,omitempty"`
+	SourceSeen  []ckptSrcSeen `json:"source_seen,omitempty"`
+	Sources     []string      `json:"sources,omitempty"`
+	Shares      []ckptShare   `json:"shares,omitempty"`
+	RewardAddrs []ckptAddrs   `json:"reward_addrs,omitempty"`
+	Owners      []ckptOwner   `json:"owners,omitempty"`
+	SelfSets    []ckptSelfSet `json:"self_sets,omitempty"`
 }
 
 type ckptSeen struct {
@@ -366,20 +363,18 @@ func buildCheckpoint(set *auditSet) *walCheckpoint {
 	st := set.stream
 	snap := st.ix.Snapshot()
 	ck := &walCheckpoint{
-		API:          API,
-		Dataset:      set.name,
-		Fingerprint:  set.fingerprint,
-		Retain:       st.ix.Retention(),
-		Ingested:     snap.Ingested,
-		Dropped:      snap.Dropped,
-		Appends:      st.appends,
-		Snapshots:    st.snapshots,
-		LastHeight:   st.lastHeight,
-		Txs:          set.txs,
-		WinSnapshots: st.win.Snapshots(),
-		Blocks:       make([]BlockFrame, 0, len(snap.Blocks)),
+		API:         API,
+		Dataset:     set.name,
+		Fingerprint: set.fingerprint,
+		Retain:      st.ix.Retention(),
+		Ingested:    snap.Ingested,
+		Dropped:     snap.Dropped,
+		Appends:     st.appends,
+		Snapshots:   st.snapshots,
+		LastHeight:  st.lastHeight,
+		Txs:         set.txs,
+		Blocks:      make([]BlockFrame, 0, len(snap.Blocks)),
 	}
-	ck.LastTip, ck.TipSeen = st.win.LastSnapshotTip()
 	for _, b := range snap.Blocks {
 		ck.Blocks = append(ck.Blocks, FrameBlock(b))
 	}
@@ -429,9 +424,10 @@ func buildCheckpoint(set *auditSet) *walCheckpoint {
 }
 
 // restoreCheckpoint rebuilds a streaming set from its checkpoint: retained
-// blocks re-ingest through the normal index path, cumulative aggregates
-// restore wholesale, and the window auditor re-observes the retained
-// records before its snapshot bookkeeping is reinstated.
+// blocks re-ingest through the normal index path and cumulative aggregates
+// restore wholesale. Checkpoints written before audits read only the index
+// may also carry win_snapshots, last_tip, and tip_seen; nothing reads them,
+// so decoding ignores them.
 func (s *Server) restoreCheckpoint(ck *walCheckpoint) (*auditSet, error) {
 	st := index.RestoreState{
 		Ingested: ck.Ingested,
@@ -507,13 +503,6 @@ func (s *Server) restoreCheckpoint(ck *walCheckpoint) (*auditSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	win := core.NewWindowAuditor(ck.Retain)
-	for i := 0; i < ix.Len(); i++ {
-		if err := win.ObserveBlock(ix.Record(i)); err != nil {
-			return nil, fmt.Errorf("checkpoint window replay: %w", err)
-		}
-	}
-	win.RestoreSnapshotStats(ck.WinSnapshots, ck.LastTip, ck.TipSeen)
 	set := &auditSet{
 		name:        ck.Dataset,
 		fingerprint: ck.Fingerprint,
@@ -522,7 +511,6 @@ func (s *Server) restoreCheckpoint(ck *walCheckpoint) (*auditSet, error) {
 		txs:         ck.Txs,
 		stream: &streamState{
 			ix:         ix,
-			win:        win,
 			appends:    ck.Appends,
 			snapshots:  ck.Snapshots,
 			lastHeight: ck.LastHeight,

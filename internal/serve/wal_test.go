@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"chainaudit/internal/chain"
+	"chainaudit/internal/core"
 )
 
 // mkIngestBatches slices the chain into ingest requests of batchSize blocks,
@@ -310,6 +311,81 @@ func TestWALCheckpointRetentionInterplay(t *testing.T) {
 				t.Errorf("window %d %s: restarted retained audit diverged from batch reference", win, k)
 			}
 		}
+	}
+
+	// Un-windowed audits read the retained horizon on every path: the
+	// restarted set, the uninterrupted one, and the set's own window=0 and
+	// window=retain answers all agree — the restart restores exactly the
+	// retained records, so an audit that walked anything else would drift.
+	main, err := sB.lookupSet("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := main.aud.Index().TopPoolsByShare(core.DefaultMinShare)[0]
+	addr := c.Tip().Body()[0].Outputs[0].Address
+	for _, q := range []string{"ppe?", "lowfee?", "darkfee?pool=" + pool + "&",
+		"scam?address=" + string(addr) + "&", "selfinterest?windows=2&"} {
+		target := "/v1/audits/" + q + "dataset=live&format=text"
+		got := textBody(t, h, target)
+		if want := textBody(t, sRef.Handler(), target); got != want {
+			t.Errorf("%s: restarted retained set diverged from uninterrupted:\n--- uninterrupted ---\n%s--- restarted ---\n%s", q, want, got)
+		}
+		if strings.HasPrefix(q, "scam") || strings.HasPrefix(q, "selfinterest") {
+			continue // no sliding-window variant
+		}
+		for _, win := range []int{0, retain} {
+			if w := textBody(t, h, fmt.Sprintf("%s&window=%d", target, win)); got != w {
+				t.Errorf("%s: full audit of the retained set diverged from window=%d:\n--- window ---\n%s--- full ---\n%s", q, win, w, got)
+			}
+		}
+	}
+}
+
+// TestLegacyCheckpointRecovers pins checkpoint compatibility: a checkpoint
+// in the earlier format, which also carried the window auditor's snapshot
+// bookkeeping (win_snapshots, last_tip, tip_seen), still recovers — with
+// its WAL suffix replayed — to audits byte-identical to a set that never
+// restarted.
+func TestLegacyCheckpointRecovers(t *testing.T) {
+	dir := t.TempDir()
+	durable := func(cfg *Config) {
+		cfg.StreamDir = dir
+		cfg.CheckpointEvery = 3
+	}
+	sA, c, _ := streamFixtureCfg(t, durable)
+	batches := mkIngestBatches(c, "live", 2)
+	if len(batches) < 8 {
+		t.Skipf("fixture too small: %d batches", len(batches))
+	}
+	feedBatches(t, sA.Handler(), batches)
+	// kill -9: no Close, so recovery replays the WAL past the checkpoint.
+
+	path := filepath.Join(dir, "live"+ckptSuffix)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := bytes.Replace(raw, []byte(`,"blocks":[`), []byte(fmt.Sprintf(
+		`,"win_snapshots":%d,"last_tip":%d,"tip_seen":true,"blocks":[`, len(batches), c.Tip().Height)), 1)
+	if bytes.Equal(legacy, raw) {
+		t.Fatal("checkpoint has no blocks field to anchor the legacy fields")
+	}
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sB, _, _ := streamFixtureCfg(t, durable)
+	sRef, _, _ := streamFixture(t)
+	feedBatches(t, sRef.Handler(), batches)
+	want, got := auditTexts(t, sRef.Handler(), "live", 8), auditTexts(t, sB.Handler(), "live", 8)
+	for k := range want {
+		if got[k] != want[k] {
+			t.Errorf("%s: legacy-checkpoint recovery diverged from uninterrupted:\n--- uninterrupted ---\n%s--- recovered ---\n%s", k, want[k], got[k])
+		}
+	}
+	hz, i := healthFor(t, sB.Handler(), "live")
+	if rec := hz.Datasets[i]; rec.Recovery == nil || rec.Recovery.CheckpointBlocks == 0 || rec.Snapshots != int64(len(batches)) {
+		t.Errorf("recovered set: recovery %+v snapshots %d, want a checkpoint restore and %d snapshots", rec.Recovery, rec.Snapshots, len(batches))
 	}
 }
 
