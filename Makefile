@@ -49,17 +49,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs every experiment benchmark, then refreshes the machine-readable
-# streaming-path report (BENCH_8.json, chainaudit.bench/v1 schema: batch vs
-# incremental index, window maintenance, live observer ingest with ship
-# latency percentiles, and attributed multi-source observation with the
-# divergence-audit counters); bench-key just the two the shared-index
-# refactor is measured by. BENCH_N.json files are a perf trajectory, one per
-# PR that moved the streaming path — older ones stay checked in
+# bench runs every experiment benchmark, then writes the machine-readable
+# streaming-path report (chainaudit.bench/v1 schema: batch vs incremental
+# index, window audits, live observer ingest with ship latency percentiles,
+# and attributed multi-source observation with the divergence-audit
+# counters) to the next free BENCH_N.json, one past the highest checked-in
+# N; bench-key runs just the two the shared-index refactor is measured by.
+# BENCH_N.json files are a perf trajectory and are never overwritten
 # (see EXPERIMENTS.md).
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-	$(GO) run ./cmd/chainbench -out BENCH_8.json
+	n=$$(ls BENCH_*.json 2>/dev/null | sed 's/[^0-9]//g' | sort -n | tail -n 1); \
+	$(GO) run ./cmd/chainbench -out BENCH_$$(( $${n:-0} + 1 )).json
 
 bench-key:
 	$(GO) test -bench='BenchmarkFig07PPE|BenchmarkTable2SelfInterest' -benchtime=3x -run=^$$ .

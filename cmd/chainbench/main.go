@@ -1,8 +1,9 @@
 // Command chainbench measures the cost of the batch-vs-incremental index
 // refactor and the streaming audit path, emitting a machine-readable report
-// (the checked-in BENCH_8.json):
+// (the checked-in BENCH_<n>.json files; `make bench` writes the next free
+// one):
 //
-//	chainbench -seed 11 -hours 4 -out BENCH_8.json
+//	chainbench -seed 11 -hours 4 -out BENCH_9.json
 //
 // Measurements over one simulated data set C:
 //

@@ -75,6 +75,9 @@ type Pool struct {
 	// spenders indexes in-pool entries by the outpoints they spend, for
 	// conflict (double-spend) detection.
 	spenders map[chain.OutPoint]*Entry
+	// vsize is the running sum of every entry's Tx.VSize. Add and Remove,
+	// the only writers of entries, are its only writers.
+	vsize    int64
 	rejected int64
 	accepted int64
 }
@@ -138,6 +141,7 @@ func (p *Pool) Add(tx *chain.Tx, seen time.Time) error {
 		}
 	}
 	p.entries[tx.ID] = e
+	p.vsize += tx.VSize
 	p.accepted++
 	return nil
 }
@@ -151,6 +155,7 @@ func (p *Pool) Remove(id chain.TxID) bool {
 		return false
 	}
 	delete(p.entries, id)
+	p.vsize -= e.Tx.VSize
 	for _, in := range e.Tx.Inputs {
 		delete(p.spenders, in.PrevOut)
 	}
@@ -224,13 +229,20 @@ func (p *Pool) Len() int { return len(p.entries) }
 
 // TotalVSize returns the aggregate virtual size of all pending transactions
 // — the paper's "Mempool size", compared against the 1 MB block capacity to
-// define congestion.
-func (p *Pool) TotalVSize() int64 {
-	var v int64
+// define congestion. It is a running total, O(1).
+func (p *Pool) TotalVSize() int64 { return p.vsize }
+
+// TopFeeRate returns the highest fee-rate among pending transactions, or 0
+// for an empty pool. A maximum does not depend on iteration order, so the
+// scan skips the sort Entries pays for.
+func (p *Pool) TopFeeRate() chain.SatPerVByte {
+	var top chain.SatPerVByte
 	for _, e := range p.entries {
-		v += e.Tx.VSize
+		if r := e.Tx.FeeRate(); r > top {
+			top = r
+		}
 	}
-	return v
+	return top
 }
 
 // Stats returns cumulative accept/reject counters.

@@ -102,7 +102,7 @@ func (p *Pool) EvictToSize(maxVSize int64) []*chain.Tx {
 	if maxVSize < 0 {
 		maxVSize = 0
 	}
-	if p.TotalVSize() <= maxVSize {
+	if p.vsize <= maxVSize {
 		return nil
 	}
 	// Snapshot ascending by fee-rate (ties by ID for determinism).
@@ -118,9 +118,8 @@ func (p *Pool) EvictToSize(maxVSize int64) []*chain.Tx {
 		return lessID(order[i].Tx.ID, order[j].Tx.ID)
 	})
 	var evicted []*chain.Tx
-	total := p.TotalVSize()
 	for _, victim := range order {
-		if total <= maxVSize {
+		if p.vsize <= maxVSize {
 			break
 		}
 		if !p.Contains(victim.Tx.ID) {
@@ -129,12 +128,10 @@ func (p *Pool) EvictToSize(maxVSize int64) []*chain.Tx {
 		desc := descendantsOf(victim)
 		if p.Remove(victim.Tx.ID) {
 			evicted = append(evicted, victim.Tx)
-			total -= victim.Tx.VSize
 		}
 		for _, d := range desc {
 			if p.Remove(d.Tx.ID) {
 				evicted = append(evicted, d.Tx)
-				total -= d.Tx.VSize
 			}
 		}
 	}

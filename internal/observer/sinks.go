@@ -38,7 +38,7 @@ func (s *IndexSink) Apply(ctx context.Context, b *Batch) error {
 		return err
 	}
 	for _, blk := range b.Blocks {
-		if _, err := s.Index.AppendBlock(blk); err != nil {
+		if _, err := s.Index.AppendBlock(ownBlock(blk)); err != nil {
 			return err
 		}
 	}
@@ -54,6 +54,22 @@ func (s *IndexSink) Apply(ctx context.Context, b *Batch) error {
 		s.Index.ObserveFirstSeenFrom(s.Source, seen)
 	}
 	return nil
+}
+
+// ownBlock copies blk down to each transaction's inputs — the part a
+// loose appender (dataset.AppendLoose) rebalances in place. A batch shares
+// its blocks with the source that produced them: a NodeSource's node keeps
+// encoding the same *chain.Block for its peers, and a ChainSource's blocks
+// belong to the source chain. Outputs are never written and stay shared.
+func ownBlock(blk *chain.Block) *chain.Block {
+	cp := *blk
+	cp.Txs = make([]*chain.Tx, len(blk.Txs))
+	for i, tx := range blk.Txs {
+		t := *tx
+		t.Inputs = append([]chain.TxIn(nil), tx.Inputs...)
+		cp.Txs[i] = &t
+	}
+	return &cp
 }
 
 // HTTPSink ships batches to a running chainauditd's POST /v1/ingest with

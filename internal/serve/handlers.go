@@ -651,11 +651,12 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Snapshot the set's provenance under its read lock: streaming sets
 	// rotate fingerprints on append, and the cache key must match the
-	// envelope.
+	// envelope. set.blocks is the retained record count at that fingerprint.
 	set.mu.RLock()
 	env.Dataset = set.name
 	env.Fingerprint = set.fingerprint
 	env.Degraded = set.degraded
+	retained := set.blocks
 	set.mu.RUnlock()
 	req, params, err := parseAudit(kind, q)
 	if err != nil {
@@ -668,9 +669,18 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, env, err)
 		return
 	}
+	// The key names the effective window, not the caller's spelling: no
+	// window, window=0 and any window covering every retained record all
+	// audit the full set (Auditor.Last) and share one entry. The envelope
+	// still echoes the caller's own params.
 	keyParts := []string{env.Fingerprint, "audit=" + kind}
 	for _, k := range sortedKeys(params) {
-		keyParts = append(keyParts, k+"="+params[k])
+		if k != "window" {
+			keyParts = append(keyParts, k+"="+params[k])
+		}
+	}
+	if req.window > 0 && req.window < retained {
+		keyParts = append(keyParts, "window="+strconv.Itoa(req.window))
 	}
 	key := obs.ConfigHash(keyParts...)
 	t := startTimer()

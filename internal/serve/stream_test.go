@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
@@ -526,5 +527,50 @@ func TestIngestRetention(t *testing.T) {
 				t.Errorf("window %d: retained %s diverged from batch:\n--- batch ---\n%s--- retained ---\n%s", win, k.name, want, got)
 			}
 		}
+	}
+}
+
+// TestAuditCacheKeysEffectiveWindow posts the three spellings of a
+// full-set audit — no window, window=0, and a window past the retained
+// count — to one streaming set. They audit the same records, so they share
+// one cache entry: the second and third are hits with identical bytes,
+// while each envelope still echoes the caller's own params. A window
+// inside the horizon keeps its own entry.
+func TestAuditCacheKeysEffectiveWindow(t *testing.T) {
+	const retain = 8
+	s, c, _ := streamFixtureCfg(t, func(cfg *Config) { cfg.StreamRetain = retain })
+	h := s.Handler()
+	req := IngestRequest{Dataset: "live"}
+	for _, b := range c.Blocks() {
+		req.Blocks = append(req.Blocks, FrameBlock(b))
+	}
+	if rr := postJSON(t, h, "/v1/ingest", req); rr.Code != http.StatusOK {
+		t.Fatalf("ingest = %d: %s", rr.Code, rr.Body.String())
+	}
+
+	const base = "/v1/audits/ppe?dataset=live"
+	var first string
+	for i, extra := range []string{"", "&window=0", "&window=100000", fmt.Sprintf("&window=%d", retain)} {
+		rr := do(t, h, "POST", base+"&format=text"+extra)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%q = %d: %s", extra, rr.Code, rr.Body.String())
+		}
+		wantHit := strconv.FormatBool(i > 0)
+		if got := rr.Header().Get("X-Chainaudit-Cached"); got != wantHit {
+			t.Errorf("%q: X-Chainaudit-Cached = %s, want %s", extra, got, wantHit)
+		}
+		if i == 0 {
+			first = rr.Body.String()
+		} else if rr.Body.String() != first {
+			t.Errorf("%q: body differs from the full-set audit", extra)
+		}
+	}
+
+	env := decode[Envelope](t, do(t, h, "POST", base+"&window=0"))
+	if !env.Cached || env.Params["window"] != "0" {
+		t.Errorf("window=0 envelope: cached=%v params=%v, want a hit echoing window=0", env.Cached, env.Params)
+	}
+	if rr := do(t, h, "POST", base+"&format=text&window=3"); rr.Header().Get("X-Chainaudit-Cached") != "false" {
+		t.Error("window=3 inside the horizon was answered from the full-set entry")
 	}
 }

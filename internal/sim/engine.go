@@ -436,20 +436,8 @@ func (e *engine) maybeAccelerate(tx *chain.Tx) {
 		return
 	}
 	svc := e.cfg.Accel[e.rng.Intn(len(e.cfg.Accel))]
-	top := e.topFeeRate()
-	quote := svc.Quote(tx, top)
+	quote := svc.Quote(tx, e.minerPool.TopFeeRate())
 	svc.Accelerate(tx, quote, e.now)
-}
-
-// topFeeRate scans the miner mempool for the best pending fee-rate.
-func (e *engine) topFeeRate() chain.SatPerVByte {
-	var top chain.SatPerVByte
-	for _, entry := range e.minerPool.Entries() {
-		if r := entry.Tx.FeeRate(); r > top {
-			top = r
-		}
-	}
-	return top
 }
 
 // mineBlock lets the winning pool build and append a block. A block the
