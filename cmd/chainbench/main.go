@@ -3,7 +3,8 @@
 // (the checked-in BENCH_<n>.json files; `make bench` writes the next free
 // one):
 //
-//	chainbench -seed 11 -hours 4 -out BENCH_9.json
+//	chainbench -seed 11 -hours 4                  # report on stdout
+//	chainbench -seed 11 -hours 4 -out report.json
 //
 // Measurements over one simulated data set C:
 //
@@ -49,6 +50,7 @@ import (
 	"chainaudit/internal/index"
 	"chainaudit/internal/observer"
 	"chainaudit/internal/serve"
+	"chainaudit/internal/stream"
 )
 
 // BenchSchema identifies the report format.
@@ -111,7 +113,7 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Uint64("seed", 11, "simulation seed")
 	hours := fs.Float64("hours", 4, "simulated span in hours")
 	window := fs.Int("window", 32, "sliding-window size for the re-audit measurement")
-	outPath := fs.String("out", "BENCH_8.json", "report path (- for stdout)")
+	outPath := fs.String("out", "-", "report path (- for stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -193,7 +195,7 @@ func run(args []string, out io.Writer) error {
 	inproc := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sink := &observer.IndexSink{Index: index.NewIncremental(ds.Registry)}
+			sink := &observer.IndexSink{Set: stream.New("bench", index.NewIncremental(ds.Registry), time.Now)}
 			st, err := observer.Run(ctx, observer.NewChainSource(c), sink, observer.Config{BatchBlocks: 16})
 			if err != nil {
 				b.Fatal(err)
@@ -211,7 +213,7 @@ func run(args []string, out io.Writer) error {
 	attrib := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sink := &observer.IndexSink{Index: index.NewIncremental(ds.Registry), Source: "s1"}
+			sink := &observer.IndexSink{Set: stream.New("bench", index.NewIncremental(ds.Registry), time.Now), Source: "s1"}
 			st, err := observer.Run(ctx, observer.NewChainSource(c), sink, observer.Config{BatchBlocks: 16})
 			if err != nil {
 				b.Fatal(err)
@@ -228,7 +230,7 @@ func run(args []string, out io.Writer) error {
 	// the per-request cost of /v1/audit/divergence; the attribution counters
 	// (and the flagged laggard) are recorded in the report.
 	ixAttr := index.NewIncremental(ds.Registry)
-	attrSink := &observer.IndexSink{Index: ixAttr, Source: "s1"}
+	attrSink := &observer.IndexSink{Set: stream.New("bench", ixAttr, time.Now), Source: "s1"}
 	if _, err := observer.Run(ctx, observer.NewChainSource(c), attrSink, observer.Config{BatchBlocks: 16}); err != nil {
 		return err
 	}

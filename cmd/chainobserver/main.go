@@ -19,8 +19,8 @@
 // pins that). -resume queries the service's recovered ingest watermark
 // before feeding and skips batches it already holds — the restart half of
 // the durable-streaming loop (`make smoke-crash` pins that end to end).
-// -inprocess skips HTTP and applies the feed to an in-process incremental
-// index instead, printing the windowed positional audit when done — the
+// -inprocess skips HTTP and applies the feed to an in-process streaming
+// set instead, printing the windowed positional audit when done — the
 // embedded-auditor deployment shape. -chaos wires an internal/faults plan
 // into the relay link and the observer's shipping path: dropped and delayed
 // gossip, duplicate deliveries, and watcher churn (with reconnect) all
@@ -31,14 +31,16 @@
 // own relay/watcher pair, clock, and fault plan — all feeding one streaming
 // set under distinct source IDs s1..sN (DESIGN.md §14). Over HTTP each
 // source ships through POST /v2/ingest with its ID as the request's source
-// attribution; in-process all sources share one index behind a
-// covered-height trim (the in-process mirror of the service's idempotent
-// redelivery), and the run ends with the cross-source divergence audit next
-// to the positional audit. The repeatable -source-* flags override one
-// source's knobs by ID: -source-lag plants a deterministic observation lag
-// (the divergence audit's ground truth), -source-chaos replaces the global
-// -chaos spec for that source, -source-seed and -source-minfee tune its
-// backoff jitter and admission threshold.
+// attribution; in-process all sources share one stream.Set, each sink
+// trimming the blocks a sibling already applied (the in-process mirror of
+// the service's idempotent redelivery), and the run ends with the
+// cross-source divergence audit next to the positional audit. The
+// repeatable -source-* flags override one source's knobs by ID:
+// -source-lag plants a deterministic observation lag (the divergence
+// audit's ground truth), -source-chaos replaces the global -chaos spec for
+// that source, -source-seed and -source-minfee tune its backoff jitter and
+// admission threshold. One source runs the same pipeline, unattributed and
+// with unprefixed output lines.
 package main
 
 import (
@@ -60,10 +62,9 @@ import (
 	"chainaudit/internal/core"
 	"chainaudit/internal/dataset"
 	"chainaudit/internal/faults"
-	"chainaudit/internal/index"
 	"chainaudit/internal/observer"
 	"chainaudit/internal/p2p"
-	"chainaudit/internal/poolid"
+	"chainaudit/internal/stream"
 )
 
 func main() {
@@ -115,54 +116,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	retain := fs.Int("retain", 0, "in-process retention horizon in blocks (0 = unbounded)")
 	window := fs.Int("window", 0, "in-process: audit window to print when done (0 = all retained)")
 	sources := fs.Int("sources", 1, "number of concurrent observation sources (IDs s1..sN; >1 ships with v2 source attribution)")
-	srcLag := map[string]time.Duration{}
-	fs.Func("source-lag", "per-source observation lag as id=duration (e.g. s2=30s; repeatable)", func(v string) error {
-		id, val, err := splitSourceFlag(v)
-		if err != nil {
-			return err
-		}
-		d, err := time.ParseDuration(val)
-		if err != nil {
-			return err
-		}
-		srcLag[id] = d
-		return nil
-	})
-	srcChaos := map[string]string{}
-	fs.Func("source-chaos", "per-source fault spec as id=spec, overriding -chaos for that source (repeatable)", func(v string) error {
-		id, val, err := splitSourceFlag(v)
-		if err != nil {
-			return err
-		}
-		srcChaos[id] = val
-		return nil
-	})
-	srcSeed := map[string]uint64{}
-	fs.Func("source-seed", "per-source backoff jitter seed as id=N (repeatable)", func(v string) error {
-		id, val, err := splitSourceFlag(v)
-		if err != nil {
-			return err
-		}
-		n, err := strconv.ParseUint(val, 10, 64)
-		if err != nil {
-			return err
-		}
-		srcSeed[id] = n
-		return nil
-	})
-	srcMinFee := map[string]chain.SatPerVByte{}
-	fs.Func("source-minfee", "per-source watcher admission threshold as id=rate in sat/vB (repeatable)", func(v string) error {
-		id, val, err := splitSourceFlag(v)
-		if err != nil {
-			return err
-		}
-		rate, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return err
-		}
-		srcMinFee[id] = chain.SatPerVByte(rate)
-		return nil
-	})
+	ids := map[string]bool{} // every ID a per-source flag names
+	srcLag := perSource(fs, ids, "source-lag", "per-source observation lag as id=duration (e.g. s2=30s; repeatable)", time.ParseDuration)
+	srcChaos := perSource(fs, ids, "source-chaos", "per-source fault spec as id=spec, overriding -chaos for that source (repeatable)",
+		func(v string) (string, error) { return v, nil })
+	srcSeed := perSource(fs, ids, "source-seed", "per-source backoff jitter seed as id=N (repeatable)",
+		func(v string) (uint64, error) { return strconv.ParseUint(v, 10, 64) })
+	srcMinFee := perSource(fs, ids, "source-minfee", "per-source watcher admission threshold as id=rate in sat/vB (repeatable)",
+		func(v string) (chain.SatPerVByte, error) {
+			rate, err := strconv.ParseFloat(v, 64)
+			return chain.SatPerVByte(rate), err
+		})
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -175,19 +139,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *sources < 1 {
 		return fmt.Errorf("-sources must be at least 1")
 	}
-	if *sources == 1 && (len(srcLag)+len(srcChaos)+len(srcSeed)+len(srcMinFee)) > 0 {
+	if *sources == 1 && len(ids) > 0 {
 		return fmt.Errorf("per-source flags require -sources > 1")
 	}
-	if *sources > 1 {
-		if *record != "" {
-			return fmt.Errorf("-record is single-source only: record each source in its own run")
-		}
-		for _, m := range []map[string]bool{sourceIDs(srcLag), sourceIDs(srcChaos), sourceIDs(srcSeed), sourceIDs(srcMinFee)} {
-			for id := range m {
-				if !validSourceID(id, *sources) {
-					return fmt.Errorf("unknown source %q: IDs are s1..s%d", id, *sources)
-				}
-			}
+	if *sources > 1 && *record != "" {
+		return fmt.Errorf("-record is single-source only: record each source in its own run")
+	}
+	for id := range ids {
+		if !validSourceID(id, *sources) {
+			return fmt.Errorf("unknown source %q: IDs are s1..s%d", id, *sources)
 		}
 	}
 
@@ -204,145 +164,27 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("chain %s is empty", *chainPath)
 	}
 
-	if *sources > 1 {
-		return runMulti(ctx, out, c, multiConfig{
-			sources:   *sources,
-			url:       *url,
-			dataset:   *name,
-			batch:     *batch,
-			chaos:     *chaos,
-			queue:     *queue,
-			timeout:   *timeout,
-			retries:   *retries,
-			backoff:   *backoff,
-			seed:      *seed,
-			resume:    *resume,
-			inprocess: *inprocess,
-			retain:    *retain,
-			window:    *window,
-			lag:       srcLag,
-			chaosBy:   srcChaos,
-			seedBy:    srcSeed,
-			minFeeBy:  srcMinFee,
-		})
-	}
-
-	var plan *faults.Plan
-	if *chaos != "" {
-		if plan, err = faults.ParseSpec(*chaos); err != nil {
-			return err
-		}
-	}
-
-	// The network: relay gossips what "the chain" produces; watcher is the
-	// observation vantage point the audit feed comes from. Admission is
-	// fully permissive — the feed must carry the chain as-is, including the
-	// low-fee inclusions the audits are hunting for.
-	clk := &feedClock{t: c.Blocks()[0].Time}
-	relay := p2p.NewNode("relay", 0)
-	watcher := p2p.NewNode("watcher", 0)
-	defer relay.Close()
-	defer watcher.Close()
-	relay.SetClock(clk.now)
-	watcher.SetClock(clk.now)
-	relay.SetFaults(plan.P2P(1))
-	watcher.SetFaults(plan.P2P(2))
-	src := observer.NewNodeSource(watcher, *queue)
-	defer src.Close()
-	p2p.ConnectPair(relay, watcher)
-
-	// The sink stack, innermost out: HTTP or in-process, optionally teed
-	// through a recorder.
-	var (
-		sink observer.Sink
-		hs   *observer.HTTPSink
-		ix   *index.BlockIndex
-	)
-	if *inprocess {
-		opts := []index.Option{index.WithAppender(dataset.AppendLoose)}
-		if *retain > 0 {
-			opts = append(opts, index.WithRetention(*retain))
-		}
-		ix = index.NewIncremental(poolid.DefaultRegistry(), opts...)
-		sink = &observer.IndexSink{Index: ix}
-	} else {
-		hs = &observer.HTTPSink{
-			URL:        *url,
-			Dataset:    *name,
-			Client:     &http.Client{Timeout: time.Minute},
-			MaxRetries: *retries,
-			Backoff:    *backoff,
-			Seed:       *seed,
-			Faults:     plan.P2P(3),
-		}
-		if *resume {
-			wm, ok, err := hs.SyncWatermark(ctx)
-			if err != nil {
-				return fmt.Errorf("resume: %w", err)
-			}
-			if ok {
-				fmt.Fprintf(out, "resuming dataset %s above recovered height %d\n", *name, wm)
-			} else {
-				fmt.Fprintf(out, "resuming dataset %s from scratch (no recovered watermark)\n", *name)
-			}
-		}
-		sink = hs
-	}
-	if *record != "" {
-		rf, err := os.Create(*record)
-		if err != nil {
-			return err
-		}
-		defer rf.Close()
-		bw := bufio.NewWriter(rf)
-		defer bw.Flush()
-		sink = observer.NewRecordSink(bw, *name, sink)
-	}
-
-	// Feed the chain through the relay on its own goroutine while the
-	// observer run drains the watcher's events; closing the source ends the
-	// run with a final flush.
-	feedErr := make(chan error, 1)
-	reconnects := 0
-	go func() {
-		defer src.Close()
-		feedErr <- feed(ctx, c, relay, watcher, clk, *timeout, &reconnects)
-	}()
-
-	stats, runErr := observer.Run(ctx, src, sink, observer.Config{BatchBlocks: *batch})
-	ferr := <-feedErr
-	if runErr != nil {
-		return fmt.Errorf("observer run: %w", runErr)
-	}
-	if ferr != nil {
-		return fmt.Errorf("feed: %w", ferr)
-	}
-
-	fmt.Fprintf(out, "observed %s", stats)
-	if reconnects > 0 {
-		fmt.Fprintf(out, ", %d churn reconnects", reconnects)
-	}
-	fmt.Fprintln(out)
-	if hs != nil {
-		if hs.Last.Dataset == "" {
-			// Every batch was skipped against the synced watermark: the sink
-			// never shipped, so there is no ingest response to report.
-			fmt.Fprintf(out, "dataset %s already covered by the service's watermark\n", *name)
-		} else {
-			height := int64(-1)
-			if hs.Last.Height != nil {
-				height = *hs.Last.Height
-			}
-			fmt.Fprintf(out, "dataset %s at height %d (index %d)\n", hs.Last.Dataset, height, hs.Last.IndexLen)
-		}
-	}
-	if ix != nil {
-		fmt.Fprintf(out, "in-process index: %d retained of %d ingested\n", ix.Len(), ix.Ingested())
-		if err := core.WritePPESection(out, core.NewIndexedAuditor(ix).Last(*window).AuditPPE(core.AuditOptions{})); err != nil {
-			return err
-		}
-	}
-	return nil
+	return observe(ctx, out, c, config{
+		sources:   *sources,
+		url:       *url,
+		dataset:   *name,
+		batch:     *batch,
+		record:    *record,
+		chaos:     *chaos,
+		queue:     *queue,
+		timeout:   *timeout,
+		retries:   *retries,
+		backoff:   *backoff,
+		seed:      *seed,
+		resume:    *resume,
+		inprocess: *inprocess,
+		retain:    *retain,
+		window:    *window,
+		lag:       srcLag,
+		chaosBy:   srcChaos,
+		seedBy:    srcSeed,
+		minFeeBy:  srcMinFee,
+	})
 }
 
 // feed replays the chain into the relay node on the chain's own timeline:
@@ -400,22 +242,23 @@ func feed(ctx context.Context, c *chain.Chain, relay, watcher *p2p.Node, clk *fe
 	return nil
 }
 
-// splitSourceFlag parses one repeatable per-source flag value ("id=value").
-func splitSourceFlag(v string) (id, val string, err error) {
-	id, val, ok := strings.Cut(v, "=")
-	if !ok || id == "" || val == "" {
-		return "", "", fmt.Errorf("want id=value, got %q", v)
-	}
-	return id, val, nil
-}
-
-// sourceIDs collects a per-source override map's keys for ID validation.
-func sourceIDs[V any](m map[string]V) map[string]bool {
-	ids := make(map[string]bool, len(m))
-	for id := range m {
-		ids[id] = true
-	}
-	return ids
+// perSource registers a repeatable per-source flag ("id=value"), parsing
+// each value into the returned map and noting its ID in ids.
+func perSource[V any](fs *flag.FlagSet, ids map[string]bool, name, usage string, parse func(string) (V, error)) map[string]V {
+	m := map[string]V{}
+	fs.Func(name, usage, func(v string) error {
+		id, val, ok := strings.Cut(v, "=")
+		if !ok || id == "" || val == "" {
+			return fmt.Errorf("want id=value, got %q", v)
+		}
+		x, err := parse(val)
+		if err != nil {
+			return err
+		}
+		m[id], ids[id] = x, true
+		return nil
+	})
+	return m
 }
 
 // validSourceID reports whether id names one of the n sources (s1..sN).
@@ -427,13 +270,14 @@ func validSourceID(id string, n int) bool {
 	return err == nil && i >= 1 && i <= n
 }
 
-// multiConfig carries the shared knobs plus the per-source overrides into
-// runMulti.
-type multiConfig struct {
+// config carries the shared knobs plus the per-source overrides into
+// observe.
+type config struct {
 	sources   int
 	url       string
 	dataset   string
 	batch     int
+	record    string
 	chaos     string
 	queue     int
 	timeout   time.Duration
@@ -450,97 +294,71 @@ type multiConfig struct {
 	minFeeBy  map[string]chain.SatPerVByte
 }
 
-// sharedCover is the covered-height watermark all in-process source sinks
-// ratchet under one lock: every source replays the same chain, so block
-// frames arrive up to N times, and only the first delivery of each height
-// may append. This is the in-process mirror of the HTTP path's idempotent
-// covered-rejection trim — safe because each source delivers blocks in
-// increasing order, so a source's next un-trimmed block is never more than
-// one above the shared watermark.
-type sharedCover struct {
-	mu      sync.Mutex
-	covered int64
-}
-
-// sharedIndexSink serializes one source's batches into the shared index:
-// under the shared lock it trims blocks a sibling already appended, applies
-// the remainder (snapshots always — each source's first-seen observations
-// land in the per-source ledger under its own attribution), and advances
-// the watermark.
-type sharedIndexSink struct {
-	cover *sharedCover
-	sink  *observer.IndexSink
-}
-
-func (s *sharedIndexSink) Apply(ctx context.Context, b *observer.Batch) error {
-	s.cover.mu.Lock()
-	defer s.cover.mu.Unlock()
-	trimmed := *b
-	trimmed.Blocks = nil
-	top := s.cover.covered
-	for _, blk := range b.Blocks {
-		if blk.Height > s.cover.covered {
-			trimmed.Blocks = append(trimmed.Blocks, blk)
-			if blk.Height > top {
-				top = blk.Height
-			}
-		}
-	}
-	if err := s.sink.Apply(ctx, &trimmed); err != nil {
-		return err
-	}
-	s.cover.covered = top
-	return nil
-}
-
 // sourceResult is one pipeline's outcome, reported in ID order.
 type sourceResult struct {
 	id         string
+	prefix     string
 	stats      *observer.Stats
 	reconnects int
 	hs         *observer.HTTPSink
 	err        error
 }
 
-// runMulti drives cfg.sources concurrent observation pipelines over the
-// same chain, each a full relay/watcher pair with its own clock, fault
-// plan, and sink, all feeding one streaming set under distinct source IDs.
-func runMulti(ctx context.Context, out io.Writer, c *chain.Chain, cfg multiConfig) error {
-	var (
-		ix    *index.BlockIndex
-		cover *sharedCover
-	)
-	if cfg.inprocess {
-		opts := []index.Option{index.WithAppender(dataset.AppendLoose)}
-		if cfg.retain > 0 {
-			opts = append(opts, index.WithRetention(cfg.retain))
-		}
-		ix = index.NewIncremental(poolid.DefaultRegistry(), opts...)
-		cover = &sharedCover{covered: -1}
-	}
-
+// observe drives cfg.sources concurrent observation pipelines over the same
+// chain, each a full relay/watcher pair with its own clock, fault plan, and
+// sink, all feeding one streaming set. With several sources each runs
+// under its ID (s1..sN) and reports with a "source sK: " prefix; a single
+// source is unattributed and reports unprefixed. The network: relay
+// gossips what "the chain" produces; watcher is the observation vantage
+// point the audit feed comes from. Admission is fully permissive unless
+// -source-minfee says otherwise — the feed must carry the chain as-is,
+// including the low-fee inclusions the audits are hunting for.
+func observe(ctx context.Context, out io.Writer, c *chain.Chain, cfg config) error {
 	results := make([]sourceResult, cfg.sources)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.sources; i++ {
-		id := fmt.Sprintf("s%d", i+1)
-		results[i] = sourceResult{id: id}
-
+	plans := make([]*faults.Plan, cfg.sources)
+	for i := range results {
+		r := &results[i]
+		if cfg.sources > 1 {
+			r.id = fmt.Sprintf("s%d", i+1)
+			r.prefix = "source " + r.id + ": "
+		}
 		spec := cfg.chaos
-		if s, ok := cfg.chaosBy[id]; ok {
+		if s, ok := cfg.chaosBy[r.id]; ok {
 			spec = s
 		}
-		var plan *faults.Plan
 		if spec != "" {
 			p, err := faults.ParseSpec(spec)
 			if err != nil {
-				return fmt.Errorf("source %s: %w", id, err)
+				return fmt.Errorf("%s%w", r.prefix, err)
 			}
-			plan = p
+			plans[i] = p
 		}
+	}
 
+	// The sink stack, innermost out: HTTP or a shared in-process set,
+	// optionally teed through a recorder (single source only).
+	var set *stream.Set
+	if cfg.inprocess {
+		set = stream.New(cfg.dataset, stream.NewIndex(cfg.retain), time.Now)
+	}
+	var rec *bufio.Writer
+	if cfg.record != "" {
+		rf, err := os.Create(cfg.record)
+		if err != nil {
+			return err
+		}
+		defer rf.Close()
+		rec = bufio.NewWriter(rf)
+		defer rec.Flush()
+	}
+
+	var wg sync.WaitGroup
+	for i := range results {
+		r, plan := &results[i], plans[i]
 		clk := &feedClock{t: c.Blocks()[0].Time}
-		relay := p2p.NewNode(id+"-relay", 0)
-		watcher := p2p.NewNode(id+"-watcher", cfg.minFeeBy[id])
+		// A single source's nodes are plain "relay" and "watcher".
+		relay := p2p.NewNode(strings.TrimPrefix(r.id+"-relay", "-"), 0)
+		watcher := p2p.NewNode(strings.TrimPrefix(r.id+"-watcher", "-"), cfg.minFeeBy[r.id])
 		defer relay.Close()
 		defer watcher.Close()
 		relay.SetClock(clk.now)
@@ -552,22 +370,22 @@ func runMulti(ctx context.Context, out io.Writer, c *chain.Chain, cfg multiConfi
 		p2p.ConnectPair(relay, watcher)
 
 		var src observer.Source = ns
-		if lag := cfg.lag[id]; lag != 0 {
+		if lag := cfg.lag[r.id]; lag != 0 {
 			src = &observer.LagSource{Src: ns, Lag: lag}
 		}
 
 		var sink observer.Sink
 		if cfg.inprocess {
-			sink = &sharedIndexSink{cover: cover, sink: &observer.IndexSink{Index: ix, Source: id}}
+			sink = &observer.IndexSink{Set: set, Source: r.id}
 		} else {
-			seed := cfg.seedBy[id]
+			seed := cfg.seedBy[r.id]
 			if seed == 0 {
 				seed = cfg.seed
 			}
-			hs := &observer.HTTPSink{
+			r.hs = &observer.HTTPSink{
 				URL:        cfg.url,
 				Dataset:    cfg.dataset,
-				Source:     id,
+				Source:     r.id,
 				Client:     &http.Client{Timeout: time.Minute},
 				MaxRetries: cfg.retries,
 				Backoff:    cfg.backoff,
@@ -575,20 +393,25 @@ func runMulti(ctx context.Context, out io.Writer, c *chain.Chain, cfg multiConfi
 				Faults:     plan.P2P(3),
 			}
 			if cfg.resume {
-				wm, ok, err := hs.SyncWatermark(ctx)
+				wm, ok, err := r.hs.SyncWatermark(ctx)
 				if err != nil {
-					return fmt.Errorf("source %s resume: %w", id, err)
+					return fmt.Errorf("%sresume: %w", r.prefix, err)
 				}
 				if ok {
-					fmt.Fprintf(out, "source %s resuming dataset %s above recovered height %d\n", id, cfg.dataset, wm)
+					fmt.Fprintf(out, "%sresuming dataset %s above recovered height %d\n", r.prefix, cfg.dataset, wm)
 				} else {
-					fmt.Fprintf(out, "source %s resuming dataset %s from scratch (no recovered watermark)\n", id, cfg.dataset)
+					fmt.Fprintf(out, "%sresuming dataset %s from scratch (no recovered watermark)\n", r.prefix, cfg.dataset)
 				}
 			}
-			results[i].hs = hs
-			sink = hs
+			sink = r.hs
+		}
+		if rec != nil {
+			sink = observer.NewRecordSink(rec, cfg.dataset, sink)
 		}
 
+		// Feed the chain through the relay on its own goroutine while the
+		// observer run drains the watcher's events; closing the source ends
+		// the run with a final flush.
 		wg.Add(1)
 		go func(r *sourceResult, relay, watcher *p2p.Node, ns *observer.NodeSource, src observer.Source, sink observer.Sink, clk *feedClock) {
 			defer wg.Done()
@@ -605,42 +428,47 @@ func runMulti(ctx context.Context, out io.Writer, c *chain.Chain, cfg multiConfi
 			} else if ferr != nil {
 				r.err = fmt.Errorf("feed: %w", ferr)
 			}
-		}(&results[i], relay, watcher, ns, src, sink, clk)
+		}(r, relay, watcher, ns, src, sink, clk)
 	}
 	wg.Wait()
 
 	for i := range results {
 		r := &results[i]
 		if r.err != nil {
-			return fmt.Errorf("source %s: %w", r.id, r.err)
+			return fmt.Errorf("%s%w", r.prefix, r.err)
 		}
-		fmt.Fprintf(out, "source %s: observed %s", r.id, r.stats)
+		fmt.Fprintf(out, "%sobserved %s", r.prefix, r.stats)
 		if r.reconnects > 0 {
 			fmt.Fprintf(out, ", %d churn reconnects", r.reconnects)
 		}
 		fmt.Fprintln(out)
-		if r.hs != nil {
-			if r.hs.Last.Dataset == "" {
-				fmt.Fprintf(out, "source %s: dataset %s already covered by the service's watermark\n", r.id, cfg.dataset)
-			} else {
-				height := int64(-1)
-				if r.hs.Last.Height != nil {
-					height = *r.hs.Last.Height
-				}
-				fmt.Fprintf(out, "source %s: dataset %s at height %d (index %d)\n", r.id, r.hs.Last.Dataset, height, r.hs.Last.IndexLen)
+		if r.hs == nil {
+			continue
+		}
+		if r.hs.Last.Dataset == "" {
+			// Every batch was skipped against the synced watermark: the sink
+			// never shipped, so there is no ingest response to report.
+			fmt.Fprintf(out, "%sdataset %s already covered by the service's watermark\n", r.prefix, cfg.dataset)
+		} else {
+			height := int64(-1)
+			if r.hs.Last.Height != nil {
+				height = *r.hs.Last.Height
 			}
+			fmt.Fprintf(out, "%sdataset %s at height %d (index %d)\n", r.prefix, r.hs.Last.Dataset, height, r.hs.Last.IndexLen)
 		}
 	}
-	if ix != nil {
-		fmt.Fprintf(out, "in-process index: %d retained of %d ingested\n", ix.Len(), ix.Ingested())
-		if err := core.WritePPESection(out, core.NewIndexedAuditor(ix).Last(cfg.window).AuditPPE(core.AuditOptions{})); err != nil {
-			return err
-		}
-		if err := core.WriteDivergenceSection(out, core.DivergenceAudit(ix.SourceSeenTimes(), core.DivergenceOptions{})); err != nil {
-			return err
-		}
+	if set == nil {
+		return nil
 	}
-	return nil
+	ix := set.Index()
+	fmt.Fprintf(out, "in-process index: %d retained of %d ingested\n", ix.Len(), ix.Ingested())
+	if err := core.WritePPESection(out, core.NewIndexedAuditor(ix).Last(cfg.window).AuditPPE(core.AuditOptions{})); err != nil {
+		return err
+	}
+	if cfg.sources == 1 {
+		return nil
+	}
+	return core.WriteDivergenceSection(out, core.DivergenceAudit(ix.SourceSeenTimes(), core.DivergenceOptions{}))
 }
 
 // waitUntil polls cond until it holds, the deadline passes, or ctx is done.

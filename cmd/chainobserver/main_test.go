@@ -203,6 +203,53 @@ func TestChaosFeedStillLands(t *testing.T) {
 	}
 }
 
+// auditSection returns the output from the "in-process index:" line through
+// the first blank line after it: the retention summary and the PPE section.
+func auditSection(out string) string {
+	_, rest, ok := strings.Cut(out, "in-process index:")
+	if !ok {
+		return ""
+	}
+	section, _, _ := strings.Cut(rest, "\n\n")
+	return section
+}
+
+// TestInProcessMultiSourceMatchesSingle is smoke-multi in process: two
+// sources sharing one stream.Set — one lagging 30s behind and shipping
+// duplicate deliveries — must leave the merged audit byte-identical to a
+// single-source run, and the divergence audit must flag exactly the
+// laggard.
+func TestInProcessMultiSourceMatchesSingle(t *testing.T) {
+	csvPath, _ := fixtureCSV(t)
+	var single, double bytes.Buffer
+	ctx := context.Background()
+	if err := run(ctx, []string{"-chain", csvPath, "-inprocess", "-batch", "16", "-timeout", "5s"}, &single); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(ctx, []string{
+		"-chain", csvPath, "-inprocess", "-batch", "16", "-timeout", "5s",
+		"-sources", "2", "-source-lag", "s2=30s", "-source-chaos", "s2=seed=5,p2p.dup=0.2",
+	}, &double); err != nil {
+		t.Fatal(err)
+	}
+	want := auditSection(single.String())
+	if want == "" {
+		t.Fatalf("single-source run printed no in-process audit:\n%s", single.String())
+	}
+	if got := auditSection(double.String()); got != want {
+		t.Errorf("merged audit diverged from the single-source run:\n--- single ---\n%s\n--- two sources ---\n%s", want, got)
+	}
+	flagged := false
+	for _, line := range strings.Split(double.String(), "\n") {
+		if strings.HasSuffix(line, "flagged: s2") {
+			flagged = true
+		}
+	}
+	if !flagged {
+		t.Errorf("divergence did not flag exactly s2:\n%s", double.String())
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
 	ctx := context.Background()

@@ -153,11 +153,8 @@ type BlockIndex struct {
 	// materialization, refreshed after every ingest.
 	poolCounts map[string]*poolid.Share
 	shares     []poolid.Share
-	// firstSeen optionally carries observer arrival times (see WithFirstSeen).
-	// ownSeen records whether the map is owned by the index (copy-on-write:
-	// a map attached by the caller is cloned before the first merge).
+	// firstSeen carries observer arrival times (see ObserveFirstSeen).
 	firstSeen map[chain.TxID]time.Time
-	ownSeen   bool
 	// sourceSeen keeps the per-source arrival ledger alongside the merged
 	// min-time view: for each transaction, when each attributed observation
 	// source first reported it. Anonymous arrivals (ObserveFirstSeen, or
@@ -190,14 +187,6 @@ type BlockIndex struct {
 
 // Option configures an index.
 type Option func(*BlockIndex)
-
-// WithFirstSeen attaches observer first-seen times to the index, for
-// consumers that correlate positions with arrival order. The map is stored
-// as given and must not be mutated afterwards; ObserveFirstSeen clones it
-// before merging new arrivals.
-func WithFirstSeen(seen map[chain.TxID]time.Time) Option {
-	return func(ix *BlockIndex) { ix.firstSeen = seen }
-}
 
 // WithExecutor overrides the worker pool the batch sweep runs on (the
 // default is a machine-sized pool). The result does not depend on the
@@ -417,7 +406,6 @@ func (ix *BlockIndex) compact() {
 	}
 	k := len(ix.records) - ix.retain
 	if len(ix.firstSeen) > 0 || len(ix.sourceSeen) > 0 {
-		ix.ownFirstSeen(0)
 		for r := 0; r < k; r++ {
 			for _, tx := range ix.records[r].Block.Txs {
 				delete(ix.firstSeen, tx.ID)
@@ -441,21 +429,6 @@ func (ix *BlockIndex) compact() {
 	}
 	ix.records = ix.records[:n]
 	ix.dropped += k
-}
-
-// ownFirstSeen ensures the index owns its first-seen map (copy-on-write: a
-// map attached via WithFirstSeen is shared with the caller until the first
-// mutation). extra sizes the clone for an upcoming merge.
-func (ix *BlockIndex) ownFirstSeen(extra int) {
-	if ix.ownSeen {
-		return
-	}
-	cp := make(map[chain.TxID]time.Time, len(ix.firstSeen)+extra)
-	for id, t := range ix.firstSeen {
-		cp[id] = t
-	}
-	ix.firstSeen = cp
-	ix.ownSeen = true
 }
 
 // refreshShares rematerializes the sorted per-pool share slice from the
@@ -487,10 +460,9 @@ func (ix *BlockIndex) refreshShares() {
 const SourceAnonymous = "_anon"
 
 // ObserveFirstSeen merges observer arrival times into the index (streaming
-// mempool snapshots). The earliest sighting of a transaction wins. A map
-// attached via WithFirstSeen is cloned before the first merge, so the
-// caller's map is never mutated. Arrivals observed this way are anonymous —
-// equivalent to ObserveFirstSeenFrom(SourceAnonymous, seen).
+// mempool snapshots). The earliest sighting of a transaction wins, and the
+// caller's map is never retained or mutated. Arrivals observed this way are
+// anonymous — equivalent to ObserveFirstSeenFrom(SourceAnonymous, seen).
 func (ix *BlockIndex) ObserveFirstSeen(seen map[chain.TxID]time.Time) {
 	ix.ObserveFirstSeenFrom(SourceAnonymous, seen)
 }
@@ -505,7 +477,9 @@ func (ix *BlockIndex) ObserveFirstSeenFrom(source string, seen map[chain.TxID]ti
 	if len(seen) == 0 {
 		return
 	}
-	ix.ownFirstSeen(len(seen))
+	if ix.firstSeen == nil {
+		ix.firstSeen = make(map[chain.TxID]time.Time, len(seen))
+	}
 	attributed := source != "" && source != SourceAnonymous
 	if attributed {
 		if ix.sourceSeen == nil {

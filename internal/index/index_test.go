@@ -190,7 +190,8 @@ func TestLocateRecordAndFirstSeen(t *testing.T) {
 			seen[tx.ID] = b.Time
 		}
 	}
-	ix := index.Build(c, reg, index.WithFirstSeen(seen))
+	ix := index.Build(c, reg)
+	ix.ObserveFirstSeen(seen)
 
 	for i := 0; i < ix.Len(); i++ {
 		rec := ix.Record(i)
@@ -349,13 +350,14 @@ func TestAppendBlockRejectsAndLeavesIndexIntact(t *testing.T) {
 }
 
 // TestObserveFirstSeen covers the streaming arrival-time merge: earliest
-// sighting wins and a caller-attached map is never mutated.
+// sighting wins and the caller's map is never mutated.
 func TestObserveFirstSeen(t *testing.T) {
 	reg := poolid.DefaultRegistry()
 	id := chain.TxID{1}
 	t0 := time.Unix(1000, 0)
 	attached := map[chain.TxID]time.Time{id: t0}
-	inc2 := index.NewIncremental(reg, index.WithFirstSeen(attached))
+	inc2 := index.NewIncremental(reg)
+	inc2.ObserveFirstSeen(attached)
 
 	// A later sighting does not replace the earlier one.
 	inc2.ObserveFirstSeen(map[chain.TxID]time.Time{id: t0.Add(time.Minute)})
@@ -368,7 +370,7 @@ func TestObserveFirstSeen(t *testing.T) {
 	if got, _ := inc2.FirstSeen(id); !got.Equal(early) {
 		t.Fatalf("FirstSeen = %v, want %v", got, early)
 	}
-	// The attached map was cloned, not mutated.
+	// The first map was copied, not retained.
 	if !attached[id].Equal(t0) {
 		t.Fatal("ObserveFirstSeen mutated the caller's map")
 	}

@@ -94,7 +94,6 @@ func RestoreIncremental(reg *poolid.Registry, st RestoreState, opts ...Option) (
 		ix.poolCounts[s.Pool] = &poolid.Share{Pool: s.Pool, Blocks: s.Blocks, Txs: s.Txs}
 	}
 	ix.firstSeen = nil
-	ix.ownSeen = false
 	if len(st.FirstSeen) > 0 {
 		ix.ObserveFirstSeen(st.FirstSeen)
 	}

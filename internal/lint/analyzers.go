@@ -21,6 +21,9 @@ var deterministicPkgs = []string{
 	// records; internal/index and internal/workload are in scope so
 	// wall-clock or randomness can't leak into replayed streams.
 	"index", "workload",
+	// internal/stream holds the one apply rule every ingest path runs; it
+	// reads time only through the clock its caller injects.
+	"stream",
 }
 
 // Analyzers returns the full analyzer suite in its canonical order: the

@@ -5,9 +5,10 @@ import (
 )
 
 // GoLeak rejects goroutines launched with no lifecycle in the long-lived
-// packages (serve, observer, pipeline, p2p): nothing reachable from the
-// goroutine's body ties it to a context, a WaitGroup, a channel join, or
-// an owning net connection, so nothing can ever stop it or wait for it.
+// packages (serve, observer, pipeline, p2p, stream): nothing reachable
+// from the goroutine's body ties it to a context, a WaitGroup, a channel
+// join, or an owning net connection, so nothing can ever stop it or wait
+// for it.
 // In a process meant to serve traffic for months, every such launch is a
 // slow leak — each request or reconnect strands one more goroutine.
 //
@@ -21,7 +22,7 @@ import (
 var GoLeak = &Analyzer{
 	Name:    "goleak",
 	Doc:     "goroutines without a context, WaitGroup, or channel lifecycle leak in long-lived packages",
-	InScope: scopeFor("goleak", "serve", "observer", "pipeline", "p2p"),
+	InScope: scopeFor("goleak", "serve", "observer", "pipeline", "p2p", "stream"),
 	Run: func(p *Package) []Diag {
 		sums := p.callSummaries()
 		var out []Diag

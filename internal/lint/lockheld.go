@@ -28,7 +28,7 @@ import (
 var LockHeld = &Analyzer{
 	Name:    "lockheld",
 	Doc:     "blocking I/O, HTTP round-trips, or channel operations while a sync.Mutex/RWMutex is held stall every contender",
-	InScope: scopeFor("lockheld", "serve", "observer", "pipeline", "p2p"),
+	InScope: scopeFor("lockheld", "serve", "observer", "pipeline", "p2p", "stream"),
 	Run: func(p *Package) []Diag {
 		sums := p.callSummaries()
 		var out []Diag

@@ -7,9 +7,9 @@
 //
 // The package sits between two deterministic layers and stays faithful to
 // both: a Source yields blocks in accept order with the mempool seen-log
-// delta attached, and a Sink applies exactly the wire semantics
-// serve.handleIngest implements (blocks first, then snapshots; first-seen
-// fallback to the frame time; snapshot counts from the frame). Because
+// delta attached, and every sink lands on the one apply rule of
+// internal/stream — IndexSink calls stream.Set.Apply in process, and
+// HTTPSink ships to chainauditd, whose ingest calls it too. Because
 // Batch.Request produces the identical JSON a streamfeed recording holds, a
 // live run teed through a RecordSink replays byte-identically — `make
 // smoke-live` pins that end to end.
@@ -106,7 +106,8 @@ func (b *Batch) maxHeight() int64 {
 // Request renders the batch as the ingest request handleIngest parses —
 // the same frames streamfeed records, so shipping and recording are the
 // same bytes by construction. Seen events become snapshot transactions
-// carrying their first-contact times.
+// carrying their first-contact times; an event with no time ships 0, which
+// ingest reads as "use the snapshot time", as IndexSink does.
 func (b *Batch) Request(dataset string) serve.IngestRequest {
 	req := serve.IngestRequest{Dataset: dataset}
 	for _, blk := range b.Blocks {
@@ -115,7 +116,11 @@ func (b *Batch) Request(dataset string) serve.IngestRequest {
 	for _, sn := range b.Snapshots {
 		sf := serve.SnapshotFrame{TimeNS: sn.Time.UnixNano(), TipHeight: sn.TipHeight}
 		for _, ev := range sn.Seen {
-			sf.Txs = append(sf.Txs, serve.SnapshotTx{ID: ev.TxID.String(), FirstSeenNS: ev.At.UnixNano()})
+			var ns int64
+			if !ev.At.IsZero() {
+				ns = ev.At.UnixNano()
+			}
+			sf.Txs = append(sf.Txs, serve.SnapshotTx{ID: ev.TxID.String(), FirstSeenNS: ns})
 		}
 		req.Mempool = append(req.Mempool, sf)
 	}

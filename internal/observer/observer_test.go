@@ -30,6 +30,7 @@ import (
 	"chainaudit/internal/observer"
 	"chainaudit/internal/p2p"
 	"chainaudit/internal/serve"
+	"chainaudit/internal/stream"
 )
 
 var baseTime = time.Unix(1_600_000_000, 0)
@@ -95,7 +96,7 @@ func TestChainSourceIndexSinkMatchesBatch(t *testing.T) {
 	ix := index.NewIncremental(reg)
 
 	stats, err := observer.Run(context.Background(),
-		observer.NewChainSource(c), &observer.IndexSink{Index: ix},
+		observer.NewChainSource(c), &observer.IndexSink{Set: stream.New("a", ix, time.Now)},
 		observer.Config{BatchBlocks: 8})
 	if err != nil {
 		t.Fatal(err)

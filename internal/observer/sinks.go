@@ -13,47 +13,52 @@ import (
 
 	"chainaudit/internal/chain"
 	"chainaudit/internal/faults"
-	"chainaudit/internal/index"
 	"chainaudit/internal/serve"
 	"chainaudit/internal/stats"
+	"chainaudit/internal/stream"
 )
 
-// IndexSink applies batches to an in-process incremental index, mirroring
-// serve.handleIngest's apply order exactly (blocks first, then snapshots;
-// zero first-seen times fall back to the snapshot time) so an in-process
-// run and an HTTP run over the same event stream land on identical audit
-// state. Audit the index through core.NewIndexedAuditor.
+// IndexSink applies batches in process to a streaming set through the
+// set's one apply path, stream.Set.Apply — the path chainauditd's ingest
+// and WAL recovery take — so an in-process run and an HTTP run over the
+// same event stream land on identical audit state and fingerprint. Several
+// sinks may share one set, one per observation source: each trims the
+// blocks the set already holds, under the set's lock, which is the
+// in-process form of HTTPSink's covered trim. A single sink never trims,
+// because Run already drops stale heights. Audit the set's index through
+// core.NewIndexedAuditor.
 type IndexSink struct {
-	Index *index.BlockIndex
+	Set *stream.Set
 	// Source attributes this sink's snapshot observations to a named
-	// vantage point in the index's per-source ledger; empty merges
+	// vantage point in the set's per-source ledger; empty merges
 	// anonymously (the single-observer behavior).
 	Source string
 }
 
-// Apply appends the batch; the first unappendable or out-of-order block
-// fails the batch, like the service's 409.
+// Apply applies the batch; the first unappendable block fails it, like the
+// service's 409.
 func (s *IndexSink) Apply(ctx context.Context, b *Batch) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	sb := stream.Batch{Source: s.Source, Snapshots: make([]stream.Snapshot, len(b.Snapshots))}
+	for i, sn := range b.Snapshots {
+		seen := make([]stream.Seen, len(sn.Seen))
+		for j, ev := range sn.Seen {
+			seen[j] = stream.Seen{ID: ev.TxID, At: ev.At}
+		}
+		sb.Snapshots[i] = stream.Snapshot{Time: sn.Time, TipHeight: sn.TipHeight, Count: len(sn.Seen), Seen: seen}
+	}
+	s.Set.Lock()
+	defer s.Set.Unlock()
+	covered, _, ok := s.Set.Watermark()
 	for _, blk := range b.Blocks {
-		if _, err := s.Index.AppendBlock(ownBlock(blk)); err != nil {
-			return err
+		if !ok || blk.Height > covered {
+			sb.Blocks = append(sb.Blocks, ownBlock(blk))
 		}
 	}
-	for _, sn := range b.Snapshots {
-		seen := make(map[chain.TxID]time.Time, len(sn.Seen))
-		for _, ev := range sn.Seen {
-			at := ev.At
-			if at.IsZero() {
-				at = sn.Time
-			}
-			seen[ev.TxID] = at
-		}
-		s.Index.ObserveFirstSeenFrom(s.Source, seen)
-	}
-	return nil
+	_, err := s.Set.Apply(&sb)
+	return err
 }
 
 // ownBlock copies blk down to each transaction's inputs — the part a

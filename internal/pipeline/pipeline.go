@@ -171,14 +171,3 @@ type Result[T any] struct {
 	Value T
 	Err   error
 }
-
-// MapErr computes f over [0, n) in parallel and returns value/error pairs in
-// index order. The caller decides which errors are fatal — typically by
-// scanning the results in order and returning the first unexpected error,
-// which keeps error selection deterministic too.
-func MapErr[T any](e *Executor, n int, f func(i int) (T, error)) []Result[T] {
-	return MapWith(e, n, func(i int) Result[T] {
-		v, err := f(i)
-		return Result[T]{Value: v, Err: err}
-	})
-}

@@ -50,26 +50,6 @@ func TestMapDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestMapErrKeepsIndexAlignment(t *testing.T) {
-	results := MapErr(Default(), 100, func(i int) (int, error) {
-		if i%7 == 3 {
-			return 0, fmt.Errorf("boom %d", i)
-		}
-		return i * 2, nil
-	})
-	for i, r := range results {
-		if i%7 == 3 {
-			if r.Err == nil || r.Err.Error() != fmt.Sprintf("boom %d", i) {
-				t.Fatalf("result[%d]: want error, got %v", i, r.Err)
-			}
-			continue
-		}
-		if r.Err != nil || r.Value != i*2 {
-			t.Fatalf("result[%d] = (%d, %v), want (%d, nil)", i, r.Value, r.Err, i*2)
-		}
-	}
-}
-
 func TestEachPropagatesPanic(t *testing.T) {
 	defer func() {
 		r := recover()

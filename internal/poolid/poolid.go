@@ -104,15 +104,6 @@ func Roster() []Pool {
 	}
 }
 
-// RosterByName returns the roster indexed by pool name.
-func RosterByName() map[string]Pool {
-	out := make(map[string]Pool)
-	for _, p := range Roster() {
-		out[p.Name] = p
-	}
-	return out
-}
-
 // Share holds one pool's mined-block statistics over a chain.
 type Share struct {
 	Pool   string
@@ -178,17 +169,6 @@ func HashRateOf(shares []Share, pool string) float64 {
 		}
 	}
 	return 0
-}
-
-// BlocksOf returns the blocks of the chain attributed to the named pool.
-func BlocksOf(c *chain.Chain, r *Registry, pool string) []*chain.Block {
-	var out []*chain.Block
-	for _, b := range c.Blocks() {
-		if r.AttributeBlock(b) == pool {
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // RewardAddresses returns the distinct coinbase reward addresses each pool

@@ -320,21 +320,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		set.mu.RLock()
+		fp, blocks, txs := set.provenance()
 		hd := healthDataset{
-			Name: set.name, Fingerprint: set.fingerprint,
-			Blocks: set.blocks, Txs: set.txs, IndexLen: set.blocks,
+			Name: set.name, Fingerprint: fp,
+			Blocks: blocks, Txs: txs, IndexLen: blocks,
 			Degraded: set.degraded, Notes: set.notes,
 		}
-		if set.stream != nil {
-			hd.IndexLen = set.stream.ix.Len()
-			hd.Retain = set.stream.ix.Retention()
-			hd.Ingested = set.stream.ix.Ingested()
-			hd.Snapshots = set.stream.snapshots
+		if st := set.stream; st != nil {
+			hd.Retain = st.Index().Retention()
+			hd.Ingested = st.Index().Ingested()
+			hd.Snapshots = st.State().Snapshots
 			hd.Recovery = set.recovery
-			hd.Sources = set.stream.ix.Sources()
-		}
-		if h, last, ok := set.watermark(); ok {
-			hd.Watermark = &ingestWatermark{Height: h, LastAppend: last}
+			hd.Sources = st.Index().Sources()
+			if h, last, ok := st.Watermark(); ok {
+				hd.Watermark = &ingestWatermark{Height: h, LastAppend: last}
+			}
 		}
 		set.mu.RUnlock()
 		resp.Datasets = append(resp.Datasets, hd)
@@ -651,12 +651,12 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Snapshot the set's provenance under its read lock: streaming sets
 	// rotate fingerprints on append, and the cache key must match the
-	// envelope. set.blocks is the retained record count at that fingerprint.
+	// envelope. retained is the retained record count at that fingerprint.
 	set.mu.RLock()
+	fp, retained, _ := set.provenance()
 	env.Dataset = set.name
-	env.Fingerprint = set.fingerprint
+	env.Fingerprint = fp
 	env.Degraded = set.degraded
-	retained := set.blocks
 	set.mu.RUnlock()
 	req, params, err := parseAudit(kind, q)
 	if err != nil {

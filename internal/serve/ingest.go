@@ -11,10 +11,8 @@ import (
 
 	"chainaudit/internal/chain"
 	"chainaudit/internal/core"
-	"chainaudit/internal/dataset"
-	"chainaudit/internal/index"
 	"chainaudit/internal/obs"
-	"chainaudit/internal/poolid"
+	"chainaudit/internal/stream"
 )
 
 // Streaming-ingest metrics, alongside the request metrics in sinks.go.
@@ -26,8 +24,7 @@ var (
 	// mIngestLag tracks how far behind the stream the service observes
 	// blocks: now (injected clock) minus the block's own timestamp, in
 	// milliseconds, for the most recent append.
-	mIngestLag    = obs.Default.Gauge("serve.ingest.lag_ms")
-	mIngestAppend = obs.Default.Timer("serve.ingest.append")
+	mIngestLag = obs.Default.Gauge("serve.ingest.lag_ms")
 	// mReaudit measures windowed re-audit latency — the time from a windowed
 	// audit request to its recomputed verdict.
 	mReaudit = obs.Default.Timer("serve.window.audit")
@@ -210,23 +207,15 @@ func buildFrameBlock(f *BlockFrame) (*chain.Block, error) {
 	return b, nil
 }
 
-// newStreamSet creates an empty streaming data set. Frames carry the same
-// single-edge transactions the CSVs do, so the chain grows through
-// dataset.AppendLoose — a replayed stream lands on the identical chain a
-// CSV round trip produces. A positive retain bounds the incremental index
-// to the most recent retain blocks.
-func newStreamSet(name string, retain int) *auditSet {
-	opts := []index.Option{index.WithAppender(dataset.AppendLoose)}
-	if retain > 0 {
-		opts = append(opts, index.WithRetention(retain))
-	}
-	ix := index.NewIncremental(poolid.DefaultRegistry(), opts...)
-	return &auditSet{
-		name:        name,
-		fingerprint: obs.ConfigHash("stream", name, "empty"),
-		aud:         core.NewIndexedAuditor(ix),
-		stream:      &streamState{ix: ix},
-	}
+// newStreamSet wraps a streaming set for the server. The set's lock is the
+// auditSet's lock, so audits and ingest contend on exactly one mutex.
+func newStreamSet(name string, st *stream.Set) *auditSet {
+	return &auditSet{mu: &st.RWMutex, name: name, aud: core.NewIndexedAuditor(st.Index()), stream: st}
+}
+
+// emptyStreamSet creates a streaming data set with nothing applied yet.
+func (s *Server) emptyStreamSet(name string) *auditSet {
+	return newStreamSet(name, stream.New(name, stream.NewIndex(s.cfg.StreamRetain), s.now))
 }
 
 // lookupStreamSet resolves the streaming data set an ingest request
@@ -248,7 +237,7 @@ func (s *Server) lookupStreamSet(name string, create bool) (*auditSet, error) {
 	if !create {
 		return nil, nil
 	}
-	set := newStreamSet(name, s.cfg.StreamRetain)
+	set := s.emptyStreamSet(name)
 	if s.cfg.StreamDir != "" {
 		//lint:allow lockheld set-registration atomicity invariant: creating the set's WAL must happen under the same setsMu hold that registers the set, or two racing first-batches could each open (and truncate) the same log file
 		w, err := s.openWAL(name)
@@ -334,17 +323,13 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, api string) {
 		return
 	}
 
-	// Frames are parsed before creating a fresh data set and before taking
+	// Frames are decoded before creating a fresh data set and before taking
 	// the set's write lock: malformed input neither registers an empty set
 	// nor blocks concurrent audits.
-	blocks := make([]*chain.Block, 0, len(req.Blocks))
-	for i := range req.Blocks {
-		b, err := buildFrameBlock(&req.Blocks[i])
-		if err != nil {
-			reject(http.StatusBadRequest, err)
-			return
-		}
-		blocks = append(blocks, b)
+	batch, err := decodeBatch(&req)
+	if err != nil {
+		reject(http.StatusBadRequest, err)
+		return
 	}
 	if set == nil {
 		if set, err = s.lookupStreamSet(req.Dataset, true); err != nil {
@@ -353,7 +338,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, api string) {
 		}
 	}
 
-	status := s.ingestLocked(set, &req, blocks, &resp)
+	status := s.ingestLocked(set, &req, batch, &resp)
 	resp.ElapsedMS = t.ms()
 	if status != http.StatusOK {
 		failIngest(w, status, &resp)
@@ -368,107 +353,100 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, api string) {
 // caller writes the response AFTER the lock is released, so a slow or
 // stalled client connection can never freeze the set for concurrent
 // ingests and audits.
-func (s *Server) ingestLocked(set *auditSet, req *IngestRequest, blocks []*chain.Block, resp *IngestResponse) int {
+func (s *Server) ingestLocked(set *auditSet, req *IngestRequest, batch *stream.Batch, resp *IngestResponse) int {
 	set.mu.Lock()
 	defer set.mu.Unlock()
 	if set.wal != nil {
-		//lint:allow lockheld write-ahead ordering invariant: the WAL append must commit under the same set.mu hold as applyFrames, or a concurrent batch could apply between log and apply and recovery would replay them out of order
+		//lint:allow lockheld write-ahead ordering invariant: the WAL append must commit under the same set.mu hold as stream.Set.Apply, or a concurrent batch could apply between log and apply and recovery would replay them out of order
 		if err := set.wal.appendRequest(req); err != nil {
 			// Write-ahead failed: nothing was applied, so the feeder can
 			// safely re-ship the whole batch after the service recovers.
 			// (503 counts as a service error via writeError, not a reject.)
+			resp.report(set.stream.Progress())
 			resp.Error = err.Error()
-			resp.Fingerprint = set.fingerprint
-			resp.IndexLen = set.stream.ix.Len()
-			if set.stream.appends > 0 {
-				h := set.stream.lastHeight
-				resp.Height = &h
-			}
 			return http.StatusServiceUnavailable
 		}
 	}
-	s.applyFrames(set, req, blocks, resp)
+	p, err := set.apply(batch)
+	resp.report(p)
 	if set.wal != nil && !set.wal.broken && set.wal.due() {
 		//lint:allow lockheld checkpoint quiescence invariant: compaction truncates the WAL and must see a quiesced set — a concurrent ingest appending between snapshot and truncate would lose its acknowledged batch
 		if err := s.checkpointSet(set); err != nil {
 			log.Printf("serve: checkpoint %s: %v", set.name, err)
 		}
 	}
-	if resp.Error != "" {
+	if err != nil {
+		resp.Error = err.Error()
 		return http.StatusConflict
 	}
 	return http.StatusOK
 }
 
-// applyFrames applies one parsed ingest batch to a streaming set — the
-// shared apply path of live ingest and WAL recovery, which is what makes a
-// recovered set byte-identical to one that never restarted. Caller holds
-// set.mu (or has exclusive access during boot) and has already logged the
-// batch when durability is on.
-func (s *Server) applyFrames(set *auditSet, req *IngestRequest, blocks []*chain.Block, resp *IngestResponse) {
-	st := set.stream
-	for _, b := range blocks {
-		bt := startTimer()
-		if _, err := st.ix.AppendBlock(b); err != nil {
-			mIngestRejects.Inc()
-			resp.Error = err.Error()
-			break
+// apply runs a decoded batch through the set's one apply path and counts
+// the outcome in the ingest metrics. Live ingest and WAL recovery both
+// call it, which is what makes a recovered set byte-identical to one that
+// never restarted. Caller holds set.mu (or has exclusive access during
+// boot) and has already logged the batch when durability is on.
+func (set *auditSet) apply(batch *stream.Batch) (stream.Progress, error) {
+	p, err := set.stream.Apply(batch)
+	mIngestBlocks.Add(int64(p.Appended))
+	mIngestSnapshots.Add(int64(p.Snapshots))
+	if p.Appended > 0 {
+		_, last, _ := set.stream.Watermark()
+		mIngestLag.Set(float64(last.Sub(batch.Blocks[p.Appended-1].Time)) / float64(time.Millisecond))
+	}
+	if err != nil {
+		mIngestRejects.Inc()
+	}
+	return p, err
+}
+
+// report copies a set's progress into the response.
+func (r *IngestResponse) report(p stream.Progress) {
+	r.Fingerprint = p.Fingerprint
+	r.Appended = p.Appended
+	r.Snapshots = p.Snapshots
+	r.IndexLen = p.IndexLen
+	r.Height = p.Height
+}
+
+// decodeBatch converts a request's frames to the decoded batch a stream.Set
+// applies. A pending transaction whose ID does not parse is observer
+// noise, not data: it is dropped, but its snapshot still counts it.
+func decodeBatch(req *IngestRequest) (*stream.Batch, error) {
+	b := &stream.Batch{
+		Source:    req.Source,
+		Blocks:    make([]*chain.Block, 0, len(req.Blocks)),
+		Snapshots: make([]stream.Snapshot, 0, len(req.Mempool)),
+	}
+	for i := range req.Blocks {
+		blk, err := buildFrameBlock(&req.Blocks[i])
+		if err != nil {
+			return nil, err
 		}
-		mIngestAppend.Observe(bt.elapsed())
-		st.appends++
-		st.lastHeight = b.Height
-		st.lastAppend = s.now()
-		set.blocks = st.ix.Len()
-		set.txs += int64(len(b.Body()))
-		set.fingerprint = obs.ConfigHash(set.fingerprint, fmt.Sprintf("h=%d", b.Height), fmt.Sprintf("%x", b.Hash))
-		mIngestBlocks.Inc()
-		mIngestLag.Set(float64(st.lastAppend.Sub(b.Time)) / float64(time.Millisecond))
-		resp.Appended++
+		b.Blocks = append(b.Blocks, blk)
 	}
-	if resp.Error == "" {
-		for i := range req.Mempool {
-			sf := &req.Mempool[i]
-			seen := make(map[chain.TxID]time.Time, len(sf.Txs))
-			for _, stx := range sf.Txs {
-				id, err := parseTxID(stx.ID)
-				if err != nil {
-					continue // a damaged pending tx is observer noise, not data
-				}
-				ns := stx.FirstSeenNS
-				if ns == 0 {
-					ns = sf.TimeNS
-				}
-				seen[id] = time.Unix(0, ns)
-			}
-			// v2 attribution: a frame's Source overrides the request default;
-			// unattributed frames merge anonymously (the v1 path unchanged).
-			src := sf.Source
-			if src == "" {
-				src = req.Source
-			}
-			st.ix.ObserveFirstSeenFrom(src, seen)
-			// Snapshots change audit-visible state (first-seen times feed the
-			// dark-fee/violation paths), so they rotate the fingerprint just
-			// like appends do — otherwise cached verdicts would survive new
-			// observer data. Attribution is audit-visible too (it feeds the
-			// divergence ledger), so attributed snapshots key it in; the
-			// unattributed rotation stays byte-compatible with v1 streams.
-			snapKey := fmt.Sprintf("snap t=%d", sf.TimeNS)
-			if src != "" && src != index.SourceAnonymous {
-				snapKey = fmt.Sprintf("snap t=%d src=%s", sf.TimeNS, src)
-			}
-			set.fingerprint = obs.ConfigHash(set.fingerprint,
-				snapKey,
-				fmt.Sprintf("tip=%d n=%d", sf.TipHeight, len(sf.Txs)))
-			st.snapshots++
-			mIngestSnapshots.Inc()
-			resp.Snapshots++
+	for i := range req.Mempool {
+		sf := &req.Mempool[i]
+		sn := stream.Snapshot{
+			Time:      time.Unix(0, sf.TimeNS),
+			TipHeight: sf.TipHeight,
+			Source:    sf.Source,
+			Count:     len(sf.Txs),
+			Seen:      make([]stream.Seen, 0, len(sf.Txs)),
 		}
+		for _, stx := range sf.Txs {
+			id, err := parseTxID(stx.ID)
+			if err != nil {
+				continue
+			}
+			var at time.Time // zero: no first-seen time of its own
+			if stx.FirstSeenNS != 0 {
+				at = time.Unix(0, stx.FirstSeenNS)
+			}
+			sn.Seen = append(sn.Seen, stream.Seen{ID: id, At: at})
+		}
+		b.Snapshots = append(b.Snapshots, sn)
 	}
-	resp.Fingerprint = set.fingerprint
-	resp.IndexLen = st.ix.Len()
-	if st.appends > 0 {
-		h := st.lastHeight
-		resp.Height = &h
-	}
+	return b, nil
 }

@@ -96,7 +96,7 @@ func TestIngestV2SourceAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := set.stream.ix
+	ix := set.stream.Index()
 	tx0, tx1 := b0.Body()[0], b1.Body()[0]
 	if bySrc := ix.SourceFirstSeen(tx0.ID); len(bySrc) != 1 || !bySrc["s1"].Equal(tx0.Time) {
 		t.Errorf("request-default attribution = %v, want s1 at %v", bySrc, tx0.Time)
@@ -225,8 +225,8 @@ func TestWALReplayPreservesAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLedger := setA.stream.ix.SourceSeenTimes()
-	wantSources := setA.stream.ix.Sources()
+	wantLedger := setA.stream.Index().SourceSeenTimes()
+	wantSources := setA.stream.Index().Sources()
 	if !reflect.DeepEqual(wantSources, []string{"s1", "s2", "s3"}) {
 		t.Fatalf("pre-crash Sources() = %v", wantSources)
 	}
@@ -241,10 +241,10 @@ func TestWALReplayPreservesAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(setB.stream.ix.SourceSeenTimes(), wantLedger) {
+	if !reflect.DeepEqual(setB.stream.Index().SourceSeenTimes(), wantLedger) {
 		t.Error("WAL-replayed ledger diverged from pre-crash ledger")
 	}
-	if got := setB.stream.ix.Sources(); !reflect.DeepEqual(got, wantSources) {
+	if got := setB.stream.Index().Sources(); !reflect.DeepEqual(got, wantSources) {
 		t.Errorf("WAL-replayed Sources() = %v, want %v", got, wantSources)
 	}
 	if got := healthSources(t, sB.Handler(), "live"); !reflect.DeepEqual(got, wantSources) {
@@ -265,10 +265,10 @@ func TestWALReplayPreservesAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(setC.stream.ix.SourceSeenTimes(), wantLedger) {
+	if !reflect.DeepEqual(setC.stream.Index().SourceSeenTimes(), wantLedger) {
 		t.Error("checkpoint-restored ledger diverged from pre-crash ledger")
 	}
-	if got := setC.stream.ix.Sources(); !reflect.DeepEqual(got, wantSources) {
+	if got := setC.stream.Index().Sources(); !reflect.DeepEqual(got, wantSources) {
 		t.Errorf("checkpoint-restored Sources() = %v, want %v", got, wantSources)
 	}
 }

@@ -30,8 +30,8 @@ import (
 	"chainaudit/internal/dataset"
 	"chainaudit/internal/experiments"
 	"chainaudit/internal/faults"
-	"chainaudit/internal/index"
 	"chainaudit/internal/obs"
+	"chainaudit/internal/stream"
 )
 
 // API is the envelope schema identifier. Versioning policy: fields are
@@ -107,8 +107,12 @@ type Config struct {
 // every append holds mu.Lock. The fingerprint rotates on append, which
 // retires all of the set's result-cache entries at once.
 type auditSet struct {
-	mu          sync.RWMutex
-	name        string
+	// mu is a streaming set's own stream.Set lock, so each set has exactly
+	// one.
+	mu   *sync.RWMutex
+	name string
+	// fingerprint, blocks, and txs describe a startup-loaded set; a
+	// streaming set reports its stream's (see provenance).
 	fingerprint string
 	aud         *core.Auditor
 	blocks      int
@@ -117,7 +121,7 @@ type auditSet struct {
 	notes       []string
 
 	// stream holds live-ingest state; nil for startup-loaded sets.
-	stream *streamState
+	stream *stream.Set
 	// wal is the set's write-ahead log; nil unless Config.StreamDir is set.
 	// recovery describes the boot-time recovery that rebuilt the set; nil
 	// for sets created live.
@@ -125,22 +129,14 @@ type auditSet struct {
 	recovery *recoveryInfo
 }
 
-// streamState is the live-ingest side of a streaming data set.
-type streamState struct {
-	ix         *index.BlockIndex
-	appends    int64
-	snapshots  int64
-	lastHeight int64
-	lastAppend time.Time
-}
-
-// watermark reports a streaming set's ingest progress; ok is false for
-// static sets. Callers hold mu.
-func (set *auditSet) watermark() (height int64, last time.Time, ok bool) {
-	if set.stream == nil || set.stream.appends == 0 {
-		return 0, time.Time{}, false
+// provenance returns the set's fingerprint, retained block count, and
+// transaction count. Callers hold mu.
+func (set *auditSet) provenance() (fingerprint string, blocks int, txs int64) {
+	if set.stream == nil {
+		return set.fingerprint, set.blocks, set.txs
 	}
-	return set.stream.lastHeight, set.stream.lastAppend, true
+	st := set.stream.State()
+	return st.Fingerprint, set.stream.Index().Len(), st.Txs
 }
 
 // Server is the audit service. It is safe for concurrent use: data sets and
@@ -248,6 +244,7 @@ func (s *Server) addSimSets() error {
 		{"C", s.suite.CAuditor(), s.suite.C},
 	} {
 		set := &auditSet{
+			mu:   new(sync.RWMutex),
 			name: ds.name,
 			fingerprint: obs.ConfigHash("sim", ds.name,
 				fmt.Sprintf("seed=%d", s.cfg.Seed),
@@ -286,6 +283,7 @@ func (s *Server) addChainCSV(spec ChainSpec) error {
 		return fmt.Errorf("serve: chain %s: %w", spec.Name, err)
 	}
 	set := &auditSet{
+		mu:          new(sync.RWMutex),
 		name:        spec.Name,
 		fingerprint: fmt.Sprintf("%x", sha256.Sum256(raw))[:16],
 		aud:         core.NewAuditor(c),

@@ -14,12 +14,11 @@ import (
 	"time"
 
 	"chainaudit/internal/chain"
-	"chainaudit/internal/core"
-	"chainaudit/internal/dataset"
 	"chainaudit/internal/faults"
 	"chainaudit/internal/index"
 	"chainaudit/internal/obs"
 	"chainaudit/internal/poolid"
+	"chainaudit/internal/stream"
 )
 
 // Durable-streaming metrics (DESIGN.md §13). Recovery metrics describe the
@@ -33,6 +32,9 @@ var (
 	mWALRecSets     = obs.Default.Counter("serve.wal.recovered_sets")
 	mWALRecBlocks   = obs.Default.Counter("serve.wal.recovery_blocks")
 	mWALRecMS       = obs.Default.Gauge("serve.wal.recovery_ms")
+	// mWALReplayConflicts counts replayed WAL lines whose apply stopped at
+	// a conflicting block.
+	mWALReplayConflicts = obs.Default.Counter("serve.wal.replay_conflicts")
 )
 
 // fsyncPolicy is a parsed Config.StreamFsync.
@@ -360,19 +362,19 @@ type ckptSelfSet struct {
 
 // buildCheckpoint captures the set's restore state. Caller holds set.mu.
 func buildCheckpoint(set *auditSet) *walCheckpoint {
-	st := set.stream
-	snap := st.ix.Snapshot()
+	st := set.stream.State()
+	snap := set.stream.Index().Snapshot()
 	ck := &walCheckpoint{
 		API:         API,
 		Dataset:     set.name,
-		Fingerprint: set.fingerprint,
-		Retain:      st.ix.Retention(),
+		Fingerprint: st.Fingerprint,
+		Retain:      set.stream.Index().Retention(),
 		Ingested:    snap.Ingested,
 		Dropped:     snap.Dropped,
-		Appends:     st.appends,
-		Snapshots:   st.snapshots,
-		LastHeight:  st.lastHeight,
-		Txs:         set.txs,
+		Appends:     st.Appends,
+		Snapshots:   st.Snapshots,
+		LastHeight:  st.LastHeight,
+		Txs:         st.Txs,
 		Blocks:      make([]BlockFrame, 0, len(snap.Blocks)),
 	}
 	for _, b := range snap.Blocks {
@@ -495,31 +497,17 @@ func (s *Server) restoreCheckpoint(ck *walCheckpoint) (*auditSet, error) {
 		}
 		st.SelfSets[e.Pool] = ids
 	}
-	opts := []index.Option{index.WithAppender(dataset.AppendLoose)}
-	if ck.Retain > 0 {
-		opts = append(opts, index.WithRetention(ck.Retain))
-	}
-	ix, err := index.RestoreIncremental(poolid.DefaultRegistry(), st, opts...)
+	ix, err := stream.RestoreIndex(st, ck.Retain)
 	if err != nil {
 		return nil, err
 	}
-	set := &auditSet{
-		name:        ck.Dataset,
-		fingerprint: ck.Fingerprint,
-		aud:         core.NewIndexedAuditor(ix),
-		blocks:      ix.Len(),
-		txs:         ck.Txs,
-		stream: &streamState{
-			ix:         ix,
-			appends:    ck.Appends,
-			snapshots:  ck.Snapshots,
-			lastHeight: ck.LastHeight,
-		},
-	}
-	if set.stream.appends > 0 {
-		set.stream.lastAppend = s.now()
-	}
-	return set, nil
+	return newStreamSet(ck.Dataset, stream.Restore(ix, stream.State{
+		Fingerprint: ck.Fingerprint,
+		Appends:     ck.Appends,
+		Snapshots:   ck.Snapshots,
+		LastHeight:  ck.LastHeight,
+		Txs:         ck.Txs,
+	}, s.now)), nil
 }
 
 func readCheckpoint(path string) (*walCheckpoint, error) {
@@ -645,7 +633,7 @@ func (s *Server) recoverStreamSet(name string) error {
 		info.CheckpointBlocks = len(ck.Blocks)
 		skip = ck.WALLines
 	} else {
-		set = newStreamSet(name, s.cfg.StreamRetain)
+		set = s.emptyStreamSet(name)
 	}
 	lines, err := readWALEntries(walPath)
 	if err != nil {
@@ -656,8 +644,10 @@ func (s *Server) recoverStreamSet(name string) error {
 		// truncated; the state is complete without them.
 		skip = len(lines)
 	}
+	conflicts := 0
+	var lastConflict error
 	for i, e := range lines[skip:] {
-		req, blocks, perr := parseWALLine(name, e.line)
+		batch, perr := parseWALLine(name, e.line)
 		if perr != nil {
 			if skip+i == len(lines)-1 {
 				// Torn final line: the process died mid-append. The prefix
@@ -673,13 +663,21 @@ func (s *Server) recoverStreamSet(name string) error {
 			}
 			return fmt.Errorf("wal line %d: %w", skip+i+1, perr)
 		}
-		var resp IngestResponse
-		// Replay rides the live apply path. A mid-batch conflict here is the
-		// deterministic re-run of a 409 the live stream already produced;
-		// the applied prefix matches what the live process kept.
-		s.applyFrames(set, req, blocks, &resp)
-		info.WALBlocks += resp.Appended
+		// Replay rides the live apply path. A line that stops at a conflict
+		// is either the deterministic re-run of a 409 the live stream
+		// already answered or a batch applied twice; the log does not record
+		// which, so recovery counts and reports it rather than failing.
+		p, err := set.apply(batch)
+		if err != nil {
+			conflicts++
+			lastConflict = err
+			mWALReplayConflicts.Inc()
+		}
+		info.WALBlocks += p.Appended
 		info.WALLines++
+	}
+	if conflicts > 0 {
+		log.Printf("serve: wal %s: %d of %d replayed lines stopped at a conflict (last: %v)", name, conflicts, info.WALLines, lastConflict)
 	}
 	w, err := s.openWAL(name)
 	if err != nil {
@@ -706,24 +704,16 @@ func (s *Server) recoverStreamSet(name string) error {
 	return nil
 }
 
-// parseWALLine decodes one logged IngestRequest and its block frames.
-func parseWALLine(name string, line []byte) (*IngestRequest, []*chain.Block, error) {
+// parseWALLine decodes one logged IngestRequest into the batch it applies.
+func parseWALLine(name string, line []byte) (*stream.Batch, error) {
 	var req IngestRequest
 	if err := json.Unmarshal(line, &req); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if req.Dataset != name {
-		return nil, nil, fmt.Errorf("logged dataset %q does not match wal %q", req.Dataset, name)
+		return nil, fmt.Errorf("logged dataset %q does not match wal %q", req.Dataset, name)
 	}
-	blocks := make([]*chain.Block, 0, len(req.Blocks))
-	for i := range req.Blocks {
-		b, err := buildFrameBlock(&req.Blocks[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		blocks = append(blocks, b)
-	}
-	return &req, blocks, nil
+	return decodeBatch(&req)
 }
 
 // checkpointSet compacts one set's WAL into a fresh checkpoint. Caller
