@@ -2,7 +2,7 @@
 // HTTP/JSON service (see internal/serve and DESIGN.md §8):
 //
 //	chainauditd [-addr host:port] [-sim] [-seed N] [-scale X] [-chaos spec]
-//	            [-chain name=path ...] [-watchdog d] [-retries n]
+//	            [-chain name=path ...] [-watchdog d]
 //	            [-stream-retain N] [-stream-dir d] [-stream-fsync policy]
 //	            [-stream-checkpoint N] [-max-ingest-bytes N] [-ready-file f]
 //
@@ -109,7 +109,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	sim := fs.Bool("sim", false, "build the simulated suite data sets (A, B, C); implied when no -chain is given")
 	chaos := fs.String("chaos", "", "build -sim data sets under a fault-injection spec (see internal/faults)")
 	watchdog := fs.Duration("watchdog", 2*time.Minute, "per-request watchdog timeout (0 = none)")
-	retries := fs.Int("retries", 0, "per-request retries on failure")
 	streamRetain := fs.Int("stream-retain", 0, "retention horizon for streaming data sets in blocks (0 = unbounded)")
 	streamDir := fs.String("stream-dir", "", "write-ahead log directory for streaming data sets (crash-safe ingest + recovery on boot)")
 	streamFsync := fs.String("stream-fsync", "", "WAL fsync policy: always | batch | off (default batch)")
@@ -135,7 +134,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		Chains:          chains,
 		Sim:             *sim,
 		Watchdog:        *watchdog,
-		Retries:         *retries,
 		StreamRetain:    *streamRetain,
 		StreamDir:       *streamDir,
 		StreamFsync:     *streamFsync,

@@ -21,9 +21,10 @@
 // plan (internal/faults spec, e.g. "seed=7,pool.outage=0.1,obs.miss=0.2"):
 // the simulations degrade, the audits exclude what they can no longer trust
 // and annotate their coverage, and the manifest tallies every fault and
-// degradation. A zero-rate plan is byte-identical to no plan. -watchdog and
-// -retries bound each experiment (watchdog defaults to 10m when chaos is
-// active); -require-faults fails the run unless at least one fault actually
+// degradation. A zero-rate plan is byte-identical to no plan. -watchdog
+// bounds each experiment (it defaults to 10m when chaos is active); there is
+// no retry, because an experiment is a pure function of its inputs and a
+// failed one would fail again; -require-faults fails the run unless at least one fault actually
 // fired (the smoke gate for chaos runs). -checkpoint saves each completed
 // experiment's rendered output so a killed run resumes verbatim — the final
 // report of a killed-and-resumed run is byte-identical to an uninterrupted
@@ -80,7 +81,6 @@ func run(args []string, out io.Writer) error {
 	chaosSpec := fs.String("chaos", "", "deterministic fault-injection spec: seed=N,knob=rate,... (see internal/faults)")
 	checkpointPath := fs.String("checkpoint", "", "save each completed experiment here and resume verbatim on restart")
 	watchdog := fs.Duration("watchdog", 0, "per-experiment watchdog timeout (0 = none; defaults to 10m under -chaos)")
-	retries := fs.Int("retries", 0, "per-experiment retries on failure (exponential backoff)")
 	requireFaults := fs.Bool("require-faults", false, "fail unless the run injected at least one fault")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -220,14 +220,14 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 	}
-	rc := pipeline.RunConfig{Timeout: *watchdog, Retries: *retries, Backoff: time.Second}
+	rc := pipeline.RunConfig{Timeout: *watchdog}
 	results, batchErr := pipeline.MapCtx(exec, context.Background(), len(picked), rc,
 		func(ctx context.Context, i int) (struct{}, error) {
 			if resumed[i] {
 				return struct{}{}, nil
 			}
-			// Render into an attempt-local buffer: bytes from a failed or
-			// watchdog-abandoned attempt must never interleave with a retry's.
+			// Render into a task-local buffer: a watchdog-abandoned task
+			// keeps writing after the executor has moved on.
 			var local bytes.Buffer
 			if err := timed(i, &local); err != nil {
 				return struct{}{}, err

@@ -11,10 +11,9 @@ import (
 	"chainaudit/internal/obs"
 )
 
-// Context-layer metrics: retries actually attempted, tasks killed by the
-// watchdog, and batches abandoned to cancellation.
+// Context-layer metrics: tasks killed by the watchdog, and batches abandoned
+// to cancellation.
 var (
-	mRetries   = obs.Default.Counter("pipeline.retries")
 	mWatchdog  = obs.Default.Counter("pipeline.watchdog_timeouts")
 	mCancelled = obs.Default.Counter("pipeline.cancelled")
 )
@@ -24,27 +23,20 @@ var (
 var ErrWatchdog = errors.New("pipeline: watchdog timeout")
 
 // RunConfig bounds the tasks of one EachCtx/MapCtx call. The zero value
-// imposes nothing: no timeout, no retries — plain cancellable execution.
+// imposes nothing: no timeout — plain cancellable execution. There is no
+// retry: tasks are deterministic, so a failed task would fail again.
 type RunConfig struct {
-	// Timeout is the per-attempt watchdog. A task attempt still running when
+	// Timeout is the per-task watchdog. A task still running when
 	// it expires is abandoned (its goroutine is left to finish in the
 	// background — Go cannot kill it — but the executor moves on) and
 	// reported as an ErrWatchdog-wrapped error.
 	Timeout time.Duration
-	// Retries is how many times a failed attempt is retried (so a task runs
-	// at most Retries+1 times). Results are still placed by index, so a
-	// retried run produces the same output bytes as a first-try run.
-	Retries int
-	// Backoff is the base of the exponential retry delay: attempt k sleeps
-	// Backoff<<(k-1) before retrying, capped at 32x the base. Zero means
-	// retry immediately. The sleep aborts promptly on context cancellation.
-	Backoff time.Duration
 }
 
-// attempt runs one try of f(i) with the watchdog applied, converting panics
-// into errors that name the task. With no timeout the attempt runs inline;
-// with one, it runs in a child goroutine so the executor can abandon it.
-func (rc RunConfig) attempt(ctx context.Context, i int, f func(ctx context.Context, i int) error) error {
+// runTask runs f(i) with the watchdog applied, converting panics into
+// errors that name the task. With no timeout the task runs inline; with
+// one, it runs in a child goroutine so the executor can abandon it.
+func (rc RunConfig) runTask(ctx context.Context, i int, f func(ctx context.Context, i int) error) error {
 	run := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -70,49 +62,6 @@ func (rc RunConfig) attempt(ctx context.Context, i int, f func(ctx context.Conte
 		}
 		mWatchdog.Inc()
 		return fmt.Errorf("%w: task %d exceeded %v", ErrWatchdog, i, rc.Timeout)
-	}
-}
-
-// sleep waits d or until ctx is cancelled, whichever comes first.
-func sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// runCtx runs task i to completion under rc: watchdog per attempt, bounded
-// retry with exponential backoff between attempts. Watchdog timeouts are
-// retried like any other failure; context cancellation is terminal.
-func (rc RunConfig) runCtx(ctx context.Context, i int, f func(ctx context.Context, i int) error) error {
-	var err error
-	for try := 0; ; try++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		err = rc.attempt(ctx, i, f)
-		if err == nil || errors.Is(err, context.Canceled) || try >= rc.Retries {
-			return err
-		}
-		mRetries.Inc()
-		back := rc.Backoff
-		if back > 0 {
-			shift := try
-			if shift > 5 {
-				shift = 5 // cap at 32x base; beyond that the watchdog dominates anyway
-			}
-			back <<= shift
-		}
-		if serr := sleep(ctx, back); serr != nil {
-			return err // cancelled mid-backoff: surface the task's own error
-		}
 	}
 }
 
@@ -154,7 +103,7 @@ func (e *Executor) EachCtx(ctx context.Context, n int, rc RunConfig, f func(ctx 
 			}
 			mQueueWait.Observe(time.Since(start))
 			t0 := time.Now()
-			errs[i] = rc.runCtx(ctx, i, f)
+			errs[i] = rc.runTask(ctx, i, f)
 			d := time.Since(t0)
 			mTaskTime.Observe(d)
 			mBusyNS.Add(int64(d))
@@ -192,14 +141,14 @@ func (e *Executor) EachCtx(ctx context.Context, n int, rc RunConfig, f func(ctx 
 // MapCtx computes f over [0, n) under ctx and rc, placing each value and
 // error at its index. The batch error mirrors EachCtx: non-nil only when
 // cancellation left tasks unfinished. Task-level failures (including
-// watchdog timeouts after retries) live in the per-index results, keeping
+// watchdog timeouts) live in the per-index results, keeping
 // error selection deterministic for the caller.
 func MapCtx[T any](e *Executor, ctx context.Context, n int, rc RunConfig, f func(ctx context.Context, i int) (T, error)) ([]Result[T], error) {
 	// Values publish through per-index atomics, not direct slice writes: a
-	// watchdog-abandoned attempt cannot be killed, and when it eventually
-	// finishes it must not race the caller reading the returned slice (or a
-	// retry publishing its own value). Each attempt stores its own value
-	// object; the deref below reads an immutable pointee.
+	// watchdog-abandoned task cannot be killed, and when it eventually
+	// finishes it must not race the caller reading the returned slice. Each
+	// task stores its own value object; the deref below reads an immutable
+	// pointee.
 	vals := make([]atomic.Pointer[T], n)
 	errs, batchErr := e.EachCtx(ctx, n, rc, func(ctx context.Context, i int) error {
 		v, err := f(ctx, i)

@@ -140,56 +140,6 @@ func TestRunConfigWatchdog(t *testing.T) {
 	}
 }
 
-func TestRunConfigRetriesDeterministicPlacement(t *testing.T) {
-	var attempts [8]atomic.Int64
-	out, err := MapCtx(New(4), context.Background(), 8, RunConfig{Retries: 2}, func(ctx context.Context, i int) (int, error) {
-		// Odd tasks fail twice then succeed; placement by index must make the
-		// retried run indistinguishable from a clean one.
-		if n := attempts[i].Add(1); i%2 == 1 && n < 3 {
-			return 0, fmt.Errorf("transient failure %d", n)
-		}
-		return i * i, nil
-	})
-	if err != nil {
-		t.Fatalf("batch error: %v", err)
-	}
-	for i, r := range out {
-		if r.Err != nil {
-			t.Fatalf("task %d exhausted retries: %v", i, r.Err)
-		}
-		if r.Value != i*i {
-			t.Fatalf("task %d value %d, want %d", i, r.Value, i*i)
-		}
-	}
-	for i := range attempts {
-		want := int64(1)
-		if i%2 == 1 {
-			want = 3
-		}
-		if got := attempts[i].Load(); got != want {
-			t.Fatalf("task %d ran %d attempts, want %d", i, got, want)
-		}
-	}
-}
-
-func TestRunConfigRetriesExhausted(t *testing.T) {
-	permanent := errors.New("permanent")
-	var tries atomic.Int64
-	errs, err := Serial().EachCtx(context.Background(), 1, RunConfig{Retries: 3, Backoff: time.Millisecond}, func(ctx context.Context, i int) error {
-		tries.Add(1)
-		return permanent
-	})
-	if err != nil {
-		t.Fatalf("batch error: %v", err)
-	}
-	if !errors.Is(errs[0], permanent) {
-		t.Fatalf("task error = %v, want the permanent error", errs[0])
-	}
-	if tries.Load() != 4 {
-		t.Fatalf("ran %d attempts, want 4 (1 + 3 retries)", tries.Load())
-	}
-}
-
 func TestEachCtxPanicBecomesError(t *testing.T) {
 	errs, err := New(2).EachCtx(context.Background(), 4, RunConfig{}, func(ctx context.Context, i int) error {
 		if i == 2 {
@@ -218,7 +168,7 @@ func TestMapCtxMatchesSerialOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MapCtx(New(8), context.Background(), 32, RunConfig{Timeout: time.Minute, Retries: 1}, f)
+	par, err := MapCtx(New(8), context.Background(), 32, RunConfig{Timeout: time.Minute}, f)
 	if err != nil {
 		t.Fatal(err)
 	}

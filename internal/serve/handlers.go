@@ -245,13 +245,12 @@ func (s *Server) timeout(q url.Values) (time.Duration, error) {
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
-// runBounded executes one computation under the request context, the
-// watchdog, and the configured retry budget — through the same pipeline
-// layer the batch reproduction uses. Each call runs on its own worker
+// runBounded executes one computation under the request context and the
+// watchdog — through the same pipeline layer the batch reproduction uses. Each call runs on its own worker
 // goroutine, so an abandoned (timed-out) computation never wedges other
 // requests.
 func (s *Server) runBounded(ctx context.Context, timeout time.Duration, f func(ctx context.Context) (*payload, error)) (*payload, error) {
-	rc := pipeline.RunConfig{Timeout: timeout, Retries: s.cfg.Retries, Backoff: 100 * time.Millisecond}
+	rc := pipeline.RunConfig{Timeout: timeout}
 	res, batchErr := pipeline.MapCtx(pipeline.Default(), ctx, 1, rc,
 		func(ctx context.Context, _ int) (*payload, error) { return f(ctx) })
 	if batchErr != nil {

@@ -69,9 +69,6 @@ type Config struct {
 	// Watchdog bounds each request's audit computation (0 = none). A request
 	// may override it via ?timeout_ms=N.
 	Watchdog time.Duration
-	// Retries re-runs a failed audit computation (watchdog timeouts
-	// included) up to N extra times before the request fails.
-	Retries int
 	// Clock supplies the service's notion of "now" for ingest watermarks and
 	// lag metrics (nil = time.Now). Tests inject a fixed clock; result bytes
 	// never depend on it.
