@@ -41,7 +41,7 @@ func TestRunFixtureFails(t *testing.T) {
 func TestRunCleanPackage(t *testing.T) {
 	root := moduleRoot(t)
 	var out bytes.Buffer
-	code, err := run(&out, root, []string{"./internal/stats"}, false, false)
+	code, err := run(&out, root, []string{"./internal/mempool"}, false, false)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

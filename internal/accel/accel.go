@@ -12,7 +12,6 @@ package accel
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"chainaudit/internal/chain"
@@ -98,12 +97,6 @@ func (s *Service) IsAccelerated(id chain.TxID) bool {
 	return ok
 }
 
-// Record returns the acceleration record for id.
-func (s *Service) Record(id chain.TxID) (Record, bool) {
-	r, ok := s.records[id]
-	return r, ok
-}
-
 // Records returns all accelerations in purchase order.
 func (s *Service) Records() []Record {
 	out := make([]Record, 0, len(s.order))
@@ -115,17 +108,3 @@ func (s *Service) Records() []Record {
 
 // Len returns the number of accelerated transactions.
 func (s *Service) Len() int { return len(s.records) }
-
-// MultiplierStats summarizes the dark-fee/public-fee ratios of all
-// purchases with a nonzero public fee — the series behind Figure 14.
-func (s *Service) MultiplierStats() stats.Summary {
-	var ratios []float64
-	for _, id := range s.order {
-		r := s.records[id]
-		if r.PublicFee > 0 {
-			ratios = append(ratios, float64(r.DarkFee)/float64(r.PublicFee))
-		}
-	}
-	sort.Float64s(ratios)
-	return stats.Summarize(ratios)
-}

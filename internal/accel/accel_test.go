@@ -87,12 +87,12 @@ func TestAccelerateAndOracle(t *testing.T) {
 	if s.Len() != 1 {
 		t.Errorf("Len = %d", s.Len())
 	}
-	got, ok := s.Record(tx.ID)
+	got, ok := s.records[tx.ID]
 	if !ok || got != r {
-		t.Error("Record lookup failed")
+		t.Error("record lookup failed")
 	}
-	if _, ok := s.Record(other.ID); ok {
-		t.Error("Record false positive")
+	if _, ok := s.records[other.ID]; ok {
+		t.Error("record false positive")
 	}
 
 	// Idempotent re-acceleration.
@@ -124,28 +124,5 @@ func TestRecordsOrder(t *testing.T) {
 	}
 	if s.Pool() != "ViaBTC" {
 		t.Error("Pool accessor")
-	}
-}
-
-func TestMultiplierStats(t *testing.T) {
-	s := NewService("BTC.com", stats.NewRNG(6))
-	for i := 0; i < 200; i++ {
-		tx := mkTx(1000, 250, byte(i))
-		q := s.Quote(tx, 50)
-		s.Accelerate(tx, q, baseTime)
-	}
-	// One zero-public-fee record must be excluded from ratios.
-	zf := mkTx(0, 250, 201)
-	s.Accelerate(zf, 100_000, baseTime)
-
-	sum := s.MultiplierStats()
-	if sum.N != 200 {
-		t.Errorf("ratio count = %d, want 200", sum.N)
-	}
-	if sum.Median < 10 {
-		t.Errorf("median multiplier = %v, implausibly low", sum.Median)
-	}
-	if sum.Mean < sum.Median {
-		t.Errorf("mean %v < median %v", sum.Mean, sum.Median)
 	}
 }

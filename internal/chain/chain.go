@@ -99,12 +99,6 @@ func (c *Chain) appendChecked(b *Block) error {
 // transaction already consumed.
 var ErrDoubleSpend = errors.New("chain: double spend")
 
-// SpentBy returns the confirmed transaction that consumed the outpoint.
-func (c *Chain) SpentBy(op OutPoint) (TxID, bool) {
-	id, ok := c.spent[op]
-	return id, ok
-}
-
 // ConflictsChain reports whether any of the transaction's inputs are
 // already spent by a confirmed transaction.
 func (c *Chain) ConflictsChain(tx *Tx) bool {

@@ -281,12 +281,12 @@ func TestDoubleSpendRejected(t *testing.T) {
 	if err := c2.Append(blk); !errors.Is(err, ErrDoubleSpend) {
 		t.Errorf("in-block double spend: %v", err)
 	}
-	// Spent index is queryable.
-	if spender, ok := c.SpentBy(a.Inputs[0].PrevOut); !ok || spender != a.ID {
-		t.Error("SpentBy wrong")
+	// The spent index records the spender.
+	if spender, ok := c.spent[a.Inputs[0].PrevOut]; !ok || spender != a.ID {
+		t.Error("spent index wrong")
 	}
-	if _, ok := c.SpentBy(OutPoint{Index: 99}); ok {
-		t.Error("SpentBy false positive")
+	if _, ok := c.spent[OutPoint{Index: 99}]; ok {
+		t.Error("spent index false positive")
 	}
 	if !c.ConflictsChain(b) {
 		t.Error("ConflictsChain missed")

@@ -21,11 +21,8 @@ import (
 // Amount is a currency amount in satoshi. One BTC is 1e8 satoshi.
 type Amount int64
 
-// Satoshi-denominated constants.
-const (
-	Satoshi Amount = 1
-	BTC     Amount = 1e8
-)
+// BTC is one bitcoin in satoshi.
+const BTC Amount = 1e8
 
 // BTCValue returns the amount denominated in BTC.
 func (a Amount) BTCValue() float64 { return float64(a) / float64(BTC) }
@@ -94,9 +91,6 @@ type SatPerVByte float64
 // BTCPerKB converts the fee-rate to BTC per 1000 bytes, the unit the paper
 // plots (1 sat/vB == 1e-5 BTC/KB).
 func (r SatPerVByte) BTCPerKB() float64 { return float64(r) * 1000 / 1e8 }
-
-// SatPerVByteFromBTCPerKB converts from the paper's plotting unit.
-func SatPerVByteFromBTCPerKB(v float64) SatPerVByte { return SatPerVByte(v * 1e8 / 1000) }
 
 // MinRelayFeeRate is Bitcoin Core's default minimum relay fee-rate
 // (norm III's threshold): 1 sat/vB == 1e-5 BTC/KB.

@@ -49,10 +49,6 @@ func TestFeeRateUnits(t *testing.T) {
 	if got := r.BTCPerKB(); math.Abs(got-1e-5) > 1e-18 {
 		t.Errorf("1 sat/vB = %v BTC/KB, want 1e-5", got)
 	}
-	back := SatPerVByteFromBTCPerKB(1e-5)
-	if math.Abs(float64(back-1)) > 1e-12 {
-		t.Errorf("round trip = %v", back)
-	}
 	if MinRelayFeeRate != 1 {
 		t.Errorf("MinRelayFeeRate = %v", MinRelayFeeRate)
 	}

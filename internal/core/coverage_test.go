@@ -36,19 +36,8 @@ func TestViolationPairsExcludesZeroFirstSeen(t *testing.T) {
 	if got.Confirmed != 1 {
 		t.Fatalf("Confirmed = %d, want 1 (only the seen tx)", got.Confirmed)
 	}
-	if cov := got.Coverage(); cov != 0.5 {
-		t.Fatalf("Coverage() = %v, want 0.5", cov)
-	}
-}
-
-func TestViolationStatsCoverageComplete(t *testing.T) {
-	v := ViolationStats{Confirmed: 10}
-	if v.Coverage() != 1 {
-		t.Errorf("full coverage = %v, want 1", v.Coverage())
-	}
-	empty := ViolationStats{}
-	if empty.Coverage() != 1 {
-		t.Errorf("empty snapshot coverage = %v, want 1 (vacuous)", empty.Coverage())
+	if cov := (Coverage{Used: got.Confirmed, Excluded: got.UnseenExcluded}).Fraction(); cov != 0.5 {
+		t.Fatalf("coverage = %v, want 0.5", cov)
 	}
 }
 

@@ -333,3 +333,13 @@ func TopPoolsByShare(c *chain.Chain, reg *poolid.Registry, minShare float64) []s
 	})
 	return out
 }
+
+// TxSPPE returns the signed position prediction error of one transaction
+// within its block: predicted percentile minus observed percentile, in
+// [-100, 100]. A large positive value means the transaction sat far above
+// where its public fee-rate justified — the dark-fee signature of §5.4.2.
+// ok is false when the transaction is not auditable in this block (CPFP,
+// coinbase, or absent).
+func TxSPPE(b *chain.Block, id chain.TxID) (sppe float64, ok bool) {
+	return analyzeBlock(b).SPPE(id)
+}

@@ -38,6 +38,8 @@ func analyzeBlock(b *chain.Block) *index.Positions {
 // absolute difference between predicted and observed positions over the
 // block's auditable transactions, normalized by their count and expressed
 // as a percentage. ok is false for blocks with no auditable transactions.
+//
+//lint:allow deadcode oracle: internal/index's TestIndexMatchesSerialAudits and core's PPE and equivalence tests compare the index's per-record PPE against it
 func PPE(b *chain.Block) (ppe float64, ok bool) {
 	return analyzeBlock(b).PPE()
 }
@@ -48,20 +50,8 @@ func percentileRank(rank, n int) float64 {
 	return index.PercentileRank(rank, n)
 }
 
-// TxSPPE returns the signed position prediction error of one transaction
-// within its block: predicted percentile minus observed percentile, in
-// [-100, 100]. A large positive value means the transaction sat far above
-// where its public fee-rate justified — the dark-fee signature of §5.4.2.
-// ok is false when the transaction is not auditable in this block (CPFP,
-// coinbase, or absent).
-func TxSPPE(b *chain.Block, id chain.TxID) (sppe float64, ok bool) {
-	return analyzeBlock(b).SPPE(id)
-}
-
 // BlockSPPEs returns the signed position prediction error of every
-// auditable transaction in the block in one pass — the batch form of
-// TxSPPE for callers scanning whole blocks (the per-transaction form
-// re-analyzes the block on every call).
+// auditable transaction in the block in one pass.
 func BlockSPPEs(b *chain.Block) map[chain.TxID]float64 {
 	info := analyzeBlock(b)
 	n := info.N()

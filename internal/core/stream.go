@@ -61,15 +61,6 @@ func (w *WindowAuditor) ObserveBlock(rec *index.BlockRecord) error {
 // Len returns the number of blocks currently retained.
 func (w *WindowAuditor) Len() int { return len(w.recs) }
 
-// Heights returns the retained height range; ok is false for an empty
-// window.
-func (w *WindowAuditor) Heights() (lo, hi int64, ok bool) {
-	if len(w.recs) == 0 {
-		return 0, 0, false
-	}
-	return w.recs[0].Block.Height, w.recs[len(w.recs)-1].Block.Height, true
-}
-
 // AuditPPE is Auditor.AuditPPE over the last window blocks (0 = every
 // retained block).
 func (w *WindowAuditor) AuditPPE(window int, opts AuditOptions) PPEReport {

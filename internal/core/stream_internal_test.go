@@ -40,9 +40,9 @@ func TestWindowAuditorRingDoesNotGrow(t *testing.T) {
 	if got := cap(w.recs); got > 2*max {
 		t.Fatalf("window capacity %d grew past the bound (max %d)", got, max)
 	}
-	lo, hi, ok := w.Heights()
-	if !ok || lo != 10*max-max+1 || hi != 10*max {
-		t.Fatalf("heights [%d, %d] ok=%v, want [%d, %d]", lo, hi, ok, 10*max-max+1, 10*max)
+	lo, hi := w.recs[0].Block.Height, w.recs[max-1].Block.Height
+	if lo != 10*max-max+1 || hi != 10*max {
+		t.Fatalf("heights [%d, %d], want [%d, %d]", lo, hi, 10*max-max+1, 10*max)
 	}
 	// Stream order survives sliding.
 	for i := 1; i < w.Len(); i++ {

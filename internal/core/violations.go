@@ -40,16 +40,6 @@ type ViolationStats struct {
 	ViolatingPairs int64
 }
 
-// Coverage reports the share of confirmed snapshot transactions that
-// actually entered the pair analysis (1 when nothing was excluded).
-func (v ViolationStats) Coverage() float64 {
-	total := v.Confirmed + v.UnseenExcluded
-	if total == 0 {
-		return 1
-	}
-	return float64(v.Confirmed) / float64(total)
-}
-
 // Fraction returns the violating share of comparable pairs (0 when no pair
 // is comparable).
 func (v ViolationStats) Fraction() float64 {

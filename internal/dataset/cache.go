@@ -97,14 +97,6 @@ func Cached(b Builder, opts Options) (*Dataset, error) {
 	return e.ds, e.err
 }
 
-// CacheLen reports how many distinct data sets the process has built
-// through Cached.
-func CacheLen() int {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	return len(cache)
-}
-
 // ResetCache drops every cached data set (for tests that need cold builds).
 func ResetCache() {
 	cacheMu.Lock()

@@ -245,3 +245,11 @@ func TestCachedChaosFingerprintKeysEntries(t *testing.T) {
 			faulted.Result.Chain.Len(), plain.Result.Chain.Len())
 	}
 }
+
+// CacheLen reports how many distinct data sets the process has built
+// through Cached.
+func CacheLen() int {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	return len(cache)
+}

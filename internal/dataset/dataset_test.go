@@ -86,7 +86,7 @@ func TestBuildBPermissive(t *testing.T) {
 	// B sees congestion most of the time.
 	congested := 0
 	for _, s := range obs.Summaries {
-		if s.Congestion() > mempool.CongestionNone {
+		if mempool.CongestionAt(s.TotalVSize, s.Capacity) > mempool.CongestionNone {
 			congested++
 		}
 	}

@@ -481,6 +481,8 @@ type RecordFaults struct {
 
 // Records derives a record-fault injector; label distinguishes exports.
 // Returns nil for an inactive plan.
+//
+//lint:allow deadcode seam: the dataset and faults tests derive record-fault injectors from a plan with it (TestQuarantineRecoversFromInjectedFaults, TestRecordFaultsStatelessPerRow)
 func (p *Plan) Records(label uint64) *RecordFaults {
 	if !p.Active() {
 		return nil

@@ -112,6 +112,8 @@ func PercentileRank(rank, n int) float64 {
 // SPPE returns the signed position prediction error of one audited
 // transaction: predicted percentile minus observed percentile, in
 // [-100, 100]. ok is false when the transaction is not auditable here.
+//
+//lint:allow deadcode oracle: core's per-transaction TxSPPE reference (core/oracle_test.go) reads it, and TestBlockSPPEsMatchesTxSPPE holds core.BlockSPPEs to it
 func (p *Positions) SPPE(id chain.TxID) (sppe float64, ok bool) {
 	obs, okObs := p.Observed[id]
 	if !okObs {
@@ -187,14 +189,6 @@ type BlockIndex struct {
 
 // Option configures an index.
 type Option func(*BlockIndex)
-
-// WithExecutor overrides the worker pool the batch sweep runs on (the
-// default is a machine-sized pool). The result does not depend on the
-// executor — the equivalence tests build with forced serial and forced
-// parallel pools and require identical indexes.
-func WithExecutor(e *pipeline.Executor) Option {
-	return func(ix *BlockIndex) { ix.exec = e }
-}
 
 // WithAppender overrides how AppendBlock extends the underlying chain (the
 // default is chain.Append, full validation). Streaming ingest of
@@ -525,9 +519,6 @@ func (ix *BlockIndex) Retention() int { return ix.retain }
 // compacted past the retention horizon — the hash-rate denominator.
 func (ix *BlockIndex) Ingested() int64 { return ix.ingested }
 
-// Dropped returns the number of records compacted away so far.
-func (ix *BlockIndex) Dropped() int { return ix.dropped }
-
 // Record returns the i-th block's record (height order). The record is
 // shared and must not be modified.
 func (ix *BlockIndex) Record(i int) *BlockRecord { return &ix.records[i] }
@@ -567,16 +558,6 @@ func (ix *BlockIndex) TopPoolsByShare(minShare float64) []string {
 // PoolRecords returns the indices (height order) of the named pool's blocks.
 func (ix *BlockIndex) PoolRecords(pool string) []int { return ix.byPool[pool] }
 
-// BlocksOf returns the named pool's blocks in height order.
-func (ix *BlockIndex) BlocksOf(pool string) []*chain.Block {
-	idxs := ix.byPool[pool]
-	out := make([]*chain.Block, len(idxs))
-	for i, bi := range idxs {
-		out[i] = ix.records[bi].Block
-	}
-	return out
-}
-
 // LocateRecord returns the record index of the block confirming the
 // transaction. ok is false for unconfirmed transactions.
 func (ix *BlockIndex) LocateRecord(id chain.TxID) (int, bool) {
@@ -594,21 +575,20 @@ func (ix *BlockIndex) LocateRecord(id chain.TxID) (int, bool) {
 // FirstSeen returns the attached observer arrival time for the transaction;
 // ok is false when the index carries no arrival data or the transaction was
 // never seen.
+//
+//lint:allow deadcode seam: the index, observer, serve and stream tests read merged arrival times through it (TestObserveFirstSeen, TestChainSourceIndexSinkMatchesBatch, TestIngestV2SourceAttribution, TestApplySnapshotRule)
 func (ix *BlockIndex) FirstSeen(id chain.TxID) (time.Time, bool) {
 	t, ok := ix.firstSeen[id]
 	return t, ok
 }
-
-// FirstSeenTimes returns every attached observer arrival time (nil when the
-// index carries no arrival data). The map is shared and read-only; on an
-// incremental index it is valid until the next append or merge.
-func (ix *BlockIndex) FirstSeenTimes() map[chain.TxID]time.Time { return ix.firstSeen }
 
 // SourceFirstSeen returns the per-source arrival times recorded for the
 // transaction: when each attributed observation source first reported it.
 // nil when no attributed source has seen it. The map is shared and
 // read-only; on an incremental index it is valid until the next append or
 // merge.
+//
+//lint:allow deadcode seam: the index, serve and stream tests read per-source arrival times through it (TestSourceLedgerAttributionAndMerge, TestIngestV2SourceAttribution, TestApplySnapshotRule)
 func (ix *BlockIndex) SourceFirstSeen(id chain.TxID) map[string]time.Time {
 	return ix.sourceSeen[id]
 }
@@ -635,12 +615,6 @@ func (ix *BlockIndex) Sources() []string {
 	sort.Strings(out)
 	return out
 }
-
-// WalletOwners returns the pool ownership of every identified reward wallet
-// — the incremental map behind SelfInterestSets membership. The map is
-// shared and read-only; on an incremental index it is valid until the next
-// append.
-func (ix *BlockIndex) WalletOwners() map[chain.Address]string { return ix.owner }
 
 // RewardAddresses returns the distinct coinbase reward addresses each pool
 // used across the chain (Figure 8a), maintained incrementally as blocks are

@@ -29,11 +29,11 @@ var deterministicPkgs = []string{
 // Analyzers returns the full analyzer suite in its canonical order: the
 // determinism checks first (walltime, unseededrand, maporder, errdrop,
 // ctxleak), then the concurrency-and-durability suite (lockheld, goleak,
-// fsyncrename, errenvelope).
+// fsyncrename, errenvelope), then deadcode, the one module-wide check.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Walltime, UnseededRand, MapOrder, ErrDrop, CtxLeak,
-		LockHeld, GoLeak, FsyncRename, ErrEnvelope,
+		LockHeld, GoLeak, FsyncRename, ErrEnvelope, DeadCode,
 	}
 }
 

@@ -117,10 +117,11 @@ func TestFixtures(t *testing.T) {
 }
 
 // TestFixtureSuppressions pins the directive flow end to end: the walltime,
-// errdrop, and lockheld fixtures each carry one reasoned //lint:allow, which
-// must suppress exactly one finding and leave no stale-directive report.
+// errdrop, lockheld, and deadcode fixtures each carry one reasoned
+// //lint:allow, which must suppress exactly one finding and leave no
+// stale-directive report.
 func TestFixtureSuppressions(t *testing.T) {
-	for _, name := range []string{"walltime", "errdrop", "lockheld"} {
+	for _, name := range []string{"walltime", "errdrop", "lockheld", "deadcode"} {
 		dir, err := filepath.Abs(filepath.Join("testdata", "src", name))
 		if err != nil {
 			t.Fatal(err)

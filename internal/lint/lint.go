@@ -131,7 +131,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		known[a.Name] = true
 	}
 	var out []Finding
+	rs := &runState{pkgs: pkgs}
 	for _, p := range pkgs {
+		p.run = rs
 		dirs := collectDirectives(p, known)
 		type key struct {
 			file     string

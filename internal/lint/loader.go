@@ -66,6 +66,10 @@ type Package struct {
 	// sums lazily caches the intra-package call summaries the concurrency
 	// analyzers share (see summary.go / (*Package).callSummaries).
 	sums summaries
+	// loader is the Loader that built the package, nil for packages
+	// type-checked elsewhere; run is the state of the Run analyzing it.
+	loader *Loader
+	run    *runState
 }
 
 // Loader parses and type-checks module packages on the pure go/* standard
@@ -93,9 +97,6 @@ func NewLoader(mod *Module) *Loader {
 		loading: make(map[string]bool),
 	}
 }
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // Import implements types.Importer over the module plus the standard
 // library, which is all a hermetic build can reference.
@@ -194,9 +195,26 @@ func (l *Loader) load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tp, Info: info}
+	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tp, Info: info, loader: l}
 	l.pkgs[path] = p
 	return p, nil
+}
+
+// LoadAll loads every package "./..." matches from the module root.
+func (l *Loader) LoadAll() ([]*Package, error) {
+	dirs, err := l.Expand(l.Mod.Dir, []string{"./..."})
+	if err != nil {
+		return nil, err
+	}
+	pkgs := make([]*Package, 0, len(dirs))
+	for _, d := range dirs {
+		p, err := l.Load(d)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs, nil
 }
 
 // goFiles lists dir's non-test Go files in sorted (deterministic) order.

@@ -15,18 +15,9 @@ func TestSelfRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")
 	}
-	loader := sharedLoader(t)
-	dirs, err := loader.Expand(loader.Mod.Dir, []string{"./..."})
+	pkgs, err := sharedLoader(t).LoadAll()
 	if err != nil {
-		t.Fatalf("expand ./...: %v", err)
-	}
-	var pkgs []*lint.Package
-	for _, d := range dirs {
-		p, err := loader.Load(d)
-		if err != nil {
-			t.Fatalf("load %s: %v", d, err)
-		}
-		pkgs = append(pkgs, p)
+		t.Fatalf("load ./...: %v", err)
 	}
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages — pattern expansion is broken", len(pkgs))

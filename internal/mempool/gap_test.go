@@ -51,8 +51,8 @@ func TestFindGapsBlackout(t *testing.T) {
 	if want := int(10*time.Minute/SnapshotInterval) - 1; g.Missed != want {
 		t.Errorf("missed slots %d, want %d", g.Missed, want)
 	}
-	if g.Duration() != 10*time.Minute {
-		t.Errorf("gap duration %v, want 10m", g.Duration())
+	if d := g.End.Sub(g.Start); d != 10*time.Minute {
+		t.Errorf("gap duration %v, want 10m", d)
 	}
 	// No snapshot exists inside the hole: absence, not zero-fill.
 	for _, s := range snaps {

@@ -77,9 +77,7 @@ type Pool struct {
 	spenders map[chain.OutPoint]*Entry
 	// vsize is the running sum of every entry's Tx.VSize. Add and Remove,
 	// the only writers of entries, are its only writers.
-	vsize    int64
-	rejected int64
-	accepted int64
+	vsize int64
 }
 
 // New creates an empty pool with the default minimum fee-rate policy.
@@ -95,9 +93,6 @@ func New(opts ...Option) *Pool {
 	return p
 }
 
-// MinFeeRate returns the pool's admission threshold.
-func (p *Pool) MinFeeRate() chain.SatPerVByte { return p.minFeeRate }
-
 // Errors returned by Add.
 var (
 	ErrBelowMinFee = errors.New("mempool: fee-rate below admission threshold")
@@ -111,23 +106,19 @@ var (
 // transaction already spends one of the same outpoints.
 func (p *Pool) Add(tx *chain.Tx, seen time.Time) error {
 	if err := tx.Validate(); err != nil {
-		p.rejected++
 		return err
 	}
 	if tx.IsCoinbase() {
-		p.rejected++
 		return fmt.Errorf("%w: coinbase cannot enter the mempool", chain.ErrInvalidTx)
 	}
 	if _, dup := p.entries[tx.ID]; dup {
 		return ErrDuplicate
 	}
 	if tx.FeeRate() < p.minFeeRate {
-		p.rejected++
 		return fmt.Errorf("%w: %.4f < %.4f sat/vB", ErrBelowMinFee, float64(tx.FeeRate()), float64(p.minFeeRate))
 	}
 	for _, in := range tx.Inputs {
 		if other := p.spenders[in.PrevOut]; other != nil {
-			p.rejected++
 			return fmt.Errorf("%w: outpoint %s:%d already spent by %s",
 				ErrConflict, in.PrevOut.TxID.Short(), in.PrevOut.Index, other.Tx.ID.Short())
 		}
@@ -142,7 +133,6 @@ func (p *Pool) Add(tx *chain.Tx, seen time.Time) error {
 	}
 	p.entries[tx.ID] = e
 	p.vsize += tx.VSize
-	p.accepted++
 	return nil
 }
 
@@ -244,9 +234,6 @@ func (p *Pool) TopFeeRate() chain.SatPerVByte {
 	}
 	return top
 }
-
-// Stats returns cumulative accept/reject counters.
-func (p *Pool) Stats() (accepted, rejected int64) { return p.accepted, p.rejected }
 
 // Entries returns all pending entries in deterministic order (by first-seen
 // time, ties broken by ID). The entries are shared with the pool.

@@ -97,13 +97,6 @@ func TestMinFeePolicy(t *testing.T) {
 	if err := b.Add(zero, baseTime); err != nil {
 		t.Errorf("zero-fee rejected by permissive node: %v", err)
 	}
-	if b.MinFeeRate() != 0 {
-		t.Error("MinFeeRate accessor")
-	}
-	acc, rej := p.Stats()
-	if acc != 0 || rej != 1 {
-		t.Errorf("stats = %d/%d", acc, rej)
-	}
 }
 
 func TestConflictDetection(t *testing.T) {
@@ -234,8 +227,8 @@ func TestCongestionLevels(t *testing.T) {
 		{15 * mb, CongestionHigh},
 	}
 	for _, c := range cases {
-		if got := Congestion(c.size); got != c.want {
-			t.Errorf("Congestion(%d) = %v, want %v", c.size, got, c.want)
+		if got := CongestionAt(c.size, 0); got != c.want {
+			t.Errorf("CongestionAt(%d, 0) = %v, want %v", c.size, got, c.want)
 		}
 	}
 	for _, l := range []CongestionLevel{CongestionNone, CongestionLow, CongestionMid, CongestionHigh} {
@@ -266,8 +259,8 @@ func TestSnapshots(t *testing.T) {
 	if sum.Count != 2 || sum.TotalVSize != 1_200_000 || sum.TipHeight != 700 {
 		t.Errorf("summary = %+v", sum)
 	}
-	if sum.Congestion() != CongestionLow {
-		t.Errorf("congestion = %v", sum.Congestion())
+	if got := CongestionAt(sum.TotalVSize, sum.Capacity); got != CongestionLow {
+		t.Errorf("congestion = %v", got)
 	}
 
 	full := p.Capture(baseTime.Add(15*time.Second), 700)

@@ -39,12 +39,6 @@ func (c CongestionLevel) String() string {
 	}
 }
 
-// Congestion classifies a total pending vsize in bytes against the mainnet
-// block capacity.
-func Congestion(totalVSize int64) CongestionLevel {
-	return CongestionAt(totalVSize, chain.MaxBlockVSize)
-}
-
 // CongestionAt classifies a total pending vsize against an arbitrary block
 // capacity (the simulations scale block capacity down; the bins scale with
 // it).
@@ -84,12 +78,6 @@ type Snapshot struct {
 	Txs      []SnapshotTx
 }
 
-// Congestion returns the snapshot's congestion level relative to its
-// capacity.
-func (s *Snapshot) Congestion() CongestionLevel {
-	return CongestionAt(s.TotalVSize, s.Capacity)
-}
-
 // Full reports whether the snapshot retains its transaction set.
 func (s *Snapshot) Full() bool { return s.Txs != nil }
 
@@ -126,9 +114,6 @@ type Gap struct {
 	// Missed is the number of cadence slots with no snapshot in (Start, End).
 	Missed int
 }
-
-// Duration is the length of the hole.
-func (g Gap) Duration() time.Duration { return g.End.Sub(g.Start) }
 
 // FindGaps scans a time-ordered snapshot series for holes of at least one
 // interval. A spacing is a gap when it exceeds 1.5x the cadence, tolerating

@@ -259,7 +259,7 @@ func TestSchedulerHashRateShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.UnknownPool() == nil {
+	if s.unknown == nil {
 		t.Fatal("residual pool missing")
 	}
 	counts := map[string]int{}
@@ -282,7 +282,7 @@ func TestSchedulerInterArrival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.UnknownPool() != nil {
+	if s.unknown != nil {
 		t.Error("full-rate roster should have no residual pool")
 	}
 	now := baseTime

@@ -77,10 +77,3 @@ func (s *Scheduler) PickWinner() *Pool {
 	}
 	return s.pools[len(s.pools)-1]
 }
-
-// Pools returns the scheduled pools (excluding the synthetic unknown pool).
-func (s *Scheduler) Pools() []*Pool { return s.pools }
-
-// UnknownPool returns the synthetic residual pool, or nil when rates summed
-// to one.
-func (s *Scheduler) UnknownPool() *Pool { return s.unknown }

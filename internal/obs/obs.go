@@ -266,15 +266,6 @@ func (r *Registry) Reset() {
 // Inc increments the named Default counter.
 func Inc(name string) { Default.Counter(name).Inc() }
 
-// Add adds n to the named Default counter.
-func Add(name string, n int64) { Default.Counter(name).Add(n) }
-
-// SetGauge stores v in the named Default gauge.
-func SetGauge(name string, v float64) { Default.Gauge(name).Set(v) }
-
-// Observe records d in the named Default timer.
-func Observe(name string, d time.Duration) { Default.Timer(name).Observe(d) }
-
 // Timed starts a stopwatch on the named Default timer; use as
 // `defer obs.Timed("experiment.fig7")()`.
 func Timed(name string) func() { return Default.Timer(name).Time() }

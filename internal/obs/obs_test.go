@@ -143,13 +143,10 @@ func TestPackageLevelHelpers(t *testing.T) {
 	Default.Reset()
 	defer Default.Reset()
 	Inc("x")
-	Add("x", 2)
-	SetGauge("y", 1.5)
-	Observe("z", time.Millisecond)
 	done := Timed("z")
 	done()
 	s := Default.Snapshot()
-	if s.Counters["x"] != 3 || s.Gauges["y"] != 1.5 || s.Timers["z"].Count != 2 {
+	if s.Counters["x"] != 1 || s.Timers["z"].Count != 1 {
 		t.Errorf("helpers snapshot = %+v", s)
 	}
 }

@@ -171,13 +171,6 @@ func (n *Node) SetBlockHook(f func(*chain.Block)) {
 	n.blockHook = f
 }
 
-// PeerCount returns the number of live peers.
-func (n *Node) PeerCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.peers)
-}
-
 // peer is one connection with its writer loop.
 type peer struct {
 	node *Node

@@ -454,3 +454,10 @@ func TestLateJoinerMempoolSync(t *testing.T) {
 		t.Error("message name")
 	}
 }
+
+// PeerCount returns the number of live peers.
+func (n *Node) PeerCount() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.peers)
+}

@@ -33,11 +33,11 @@ type RunConfig struct {
 	Timeout time.Duration
 }
 
-// runTask runs f(i) with the watchdog applied, converting panics into
-// errors that name the task. With no timeout the task runs inline; with
-// one, it runs in a child goroutine so the executor can abandon it.
-func (rc RunConfig) runTask(ctx context.Context, i int, f func(ctx context.Context, i int) error) error {
-	run := func() (err error) {
+// run runs f(i) with the watchdog applied, converting panics into errors
+// that name the task. With no timeout the task runs inline; with one, it
+// runs in a child goroutine so the executor can abandon it.
+func (rc RunConfig) run(ctx context.Context, i int, f func(ctx context.Context, i int) error) error {
+	call := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("pipeline: task %d panicked: %v", i, r)
@@ -46,12 +46,12 @@ func (rc RunConfig) runTask(ctx context.Context, i int, f func(ctx context.Conte
 		return f(ctx, i)
 	}
 	if rc.Timeout <= 0 {
-		return run()
+		return call()
 	}
 	actx, cancel := context.WithTimeout(ctx, rc.Timeout)
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- run() }()
+	go func() { done <- call() }()
 	select {
 	case err := <-done:
 		return err
@@ -103,7 +103,7 @@ func (e *Executor) EachCtx(ctx context.Context, n int, rc RunConfig, f func(ctx 
 			}
 			mQueueWait.Observe(time.Since(start))
 			t0 := time.Now()
-			errs[i] = rc.runTask(ctx, i, f)
+			errs[i] = rc.run(ctx, i, f)
 			d := time.Since(t0)
 			mTaskTime.Observe(d)
 			mBusyNS.Add(int64(d))

@@ -55,6 +55,8 @@ func New(workers int) *Executor {
 func Default() *Executor { return New(0) }
 
 // Serial returns a single-worker executor — the reference serial path.
+//
+//lint:allow deadcode seam: the pipeline and index equivalence tests run the serial reference with it (TestMapDeterministicOrder, TestMapCtxMatchesSerialOutput, TestBuildSerialParallelIdentical)
 func Serial() *Executor { return New(1) }
 
 // Workers returns the pool size.

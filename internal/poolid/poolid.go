@@ -173,6 +173,8 @@ func HashRateOf(shares []Share, pool string) float64 {
 
 // RewardAddresses returns the distinct coinbase reward addresses each pool
 // used across the chain (Figure 8a).
+//
+//lint:allow deadcode oracle: the chain-walking reference the index and core tests hold the index's incremental reward-address sets to (TestIndexMatchesSerialAudits, core's SelfInterestSets oracle)
 func RewardAddresses(c *chain.Chain, r *Registry) map[string]map[chain.Address]bool {
 	out := make(map[string]map[chain.Address]bool)
 	for _, b := range c.Blocks() {

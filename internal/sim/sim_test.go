@@ -361,7 +361,7 @@ func TestCongestionDevelops(t *testing.T) {
 	perm := res.Observer("permissive")
 	congested := 0
 	for _, s := range perm.Summaries {
-		if s.Congestion() > mempool.CongestionNone {
+		if mempool.CongestionAt(s.TotalVSize, s.Capacity) > mempool.CongestionNone {
 			congested++
 		}
 	}

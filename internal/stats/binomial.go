@@ -119,47 +119,6 @@ func BinomialSF(k, n int64, p float64) float64 {
 	return RegIncBeta(float64(k+1), float64(n-k), p)
 }
 
-// BinomialPMF returns Pr(B = k) computed in log space, stable for large n.
-func BinomialPMF(k, n int64, p float64) float64 {
-	switch {
-	case n < 0 || k < 0 || k > n || math.IsNaN(p) || p < 0 || p > 1:
-		return math.NaN()
-	case p == 0:
-		if k == 0 {
-			return 1
-		}
-		return 0
-	case p == 1:
-		if k == n {
-			return 1
-		}
-		return 0
-	}
-	lp := LogChoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p)
-	return math.Exp(lp)
-}
-
-// BinomialSFSummed returns Pr(B >= x) by direct log-space summation of the
-// pmf. It is O(y - x) and exists as an independent cross-check of
-// BinomialSF in tests, and as the reference implementation for the
-// approximation ablation bench.
-func BinomialSFSummed(x, y int64, p float64) float64 {
-	if x <= 0 {
-		return 1
-	}
-	if x > y {
-		return 0
-	}
-	sum := 0.0
-	for k := x; k <= y; k++ {
-		sum += BinomialPMF(k, y, p)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
-}
-
 // NormalApproxP computes the paper's large-y normal approximation of the
 // one-sided p-value: Φ((x - yθ0)/sqrt(yθ0(1-θ0))) for deceleration and the
 // complementary tail for acceleration. A half-unit continuity correction is

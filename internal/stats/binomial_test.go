@@ -322,3 +322,54 @@ func TestFisherCombinedMatchesSingle(t *testing.T) {
 		}
 	}
 }
+
+// BinomialSFSummed returns Pr(B >= x) by direct log-space summation of the
+// pmf. It is O(y - x) and exists as an independent cross-check of
+// BinomialSF.
+func BinomialSFSummed(x, y int64, p float64) float64 {
+	if x <= 0 {
+		return 1
+	}
+	if x > y {
+		return 0
+	}
+	sum := 0.0
+	for k := x; k <= y; k++ {
+		sum += BinomialPMF(k, y, p)
+	}
+	if sum > 1 {
+		sum = 1
+	}
+	return sum
+}
+
+// BinomialPMF returns Pr(B = k) computed in log space, stable for large n.
+func BinomialPMF(k, n int64, p float64) float64 {
+	switch {
+	case n < 0 || k < 0 || k > n || math.IsNaN(p) || p < 0 || p > 1:
+		return math.NaN()
+	case p == 0:
+		if k == 0 {
+			return 1
+		}
+		return 0
+	case p == 1:
+		if k == n {
+			return 1
+		}
+		return 0
+	}
+	lp := LogChoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p)
+	return math.Exp(lp)
+}
+
+// LogChoose returns log C(n, k) for 0 <= k <= n.
+func LogChoose(n, k int64) float64 {
+	if k < 0 || k > n {
+		return math.Inf(-1)
+	}
+	ln1, _ := math.Lgamma(float64(n + 1))
+	lk1, _ := math.Lgamma(float64(k + 1))
+	lnk1, _ := math.Lgamma(float64(n - k + 1))
+	return ln1 - lk1 - lnk1
+}

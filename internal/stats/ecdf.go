@@ -27,60 +27,6 @@ func NewECDF(sample []float64) *ECDF {
 // Len returns the number of observations.
 func (e *ECDF) Len() int { return len(e.sorted) }
 
-// Eval returns F(x) = fraction of observations <= x.
-func (e *ECDF) Eval(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	i := sort.SearchFloat64s(e.sorted, x)
-	// SearchFloat64s returns the first index with sorted[i] >= x; advance
-	// over equal values to make the CDF right-continuous (<= x).
-	for i < len(e.sorted) && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-th sample quantile for q in [0, 1] using the
-// nearest-rank definition (inverse of Eval).
-func (e *ECDF) Quantile(q float64) float64 {
-	n := len(e.sorted)
-	if n == 0 || math.IsNaN(q) || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	if q == 0 {
-		return e.sorted[0]
-	}
-	i := int(math.Ceil(q*float64(n))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return e.sorted[i]
-}
-
-// Min returns the smallest observation.
-func (e *ECDF) Min() float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	return e.sorted[0]
-}
-
-// Max returns the largest observation.
-func (e *ECDF) Max() float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	return e.sorted[len(e.sorted)-1]
-}
-
-// Values returns the sorted observations. The returned slice is shared with
-// the ECDF and must not be modified.
-func (e *ECDF) Values() []float64 { return e.sorted }
-
 // Points returns at most n (x, F(x)) pairs suitable for plotting the CDF
 // as a step series. Points are taken at evenly spaced ranks so the series
 // is faithful for any sample size.
@@ -107,26 +53,6 @@ func (e *ECDF) Points(n int) []CDFPoint {
 type CDFPoint struct {
 	X float64
 	F float64
-}
-
-// KolmogorovSmirnov returns the two-sample KS statistic between e and other:
-// the supremum distance between the two empirical CDFs.
-func (e *ECDF) KolmogorovSmirnov(other *ECDF) float64 {
-	if e.Len() == 0 || other.Len() == 0 {
-		return math.NaN()
-	}
-	d := 0.0
-	for _, x := range e.sorted {
-		if diff := math.Abs(e.Eval(x) - other.Eval(x)); diff > d {
-			d = diff
-		}
-	}
-	for _, x := range other.sorted {
-		if diff := math.Abs(e.Eval(x) - other.Eval(x)); diff > d {
-			d = diff
-		}
-	}
-	return d
 }
 
 func max(a, b int) int {

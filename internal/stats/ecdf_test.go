@@ -20,9 +20,6 @@ func TestECDFBasics(t *testing.T) {
 			t.Errorf("Eval(%v) = %v, want %v", c.x, got, c.want)
 		}
 	}
-	if e.Min() != 1 || e.Max() != 3 {
-		t.Errorf("Min/Max = %v/%v", e.Min(), e.Max())
-	}
 }
 
 func TestECDFDuplicates(t *testing.T) {
@@ -44,36 +41,11 @@ func TestECDFDropsNaN(t *testing.T) {
 
 func TestECDFEmpty(t *testing.T) {
 	e := NewECDF(nil)
-	if !math.IsNaN(e.Eval(1)) || !math.IsNaN(e.Quantile(0.5)) || !math.IsNaN(e.Min()) || !math.IsNaN(e.Max()) {
+	if !math.IsNaN(e.Eval(1)) {
 		t.Error("empty ECDF should return NaN everywhere")
 	}
 	if pts := e.Points(5); pts != nil {
 		t.Errorf("empty Points = %v", pts)
-	}
-}
-
-func TestECDFQuantileInverse(t *testing.T) {
-	if err := quick.Check(func(raw []float64) bool {
-		sample := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				sample = append(sample, v)
-			}
-		}
-		if len(sample) == 0 {
-			return true
-		}
-		e := NewECDF(sample)
-		for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
-			x := e.Quantile(q)
-			// F(Quantile(q)) >= q must always hold.
-			if e.Eval(x) < q-1e-12 {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -130,21 +102,6 @@ func TestECDFPoints(t *testing.T) {
 	}
 	if got := NewECDF([]float64{5}).Points(1); len(got) != 1 || got[0].F != 1 {
 		t.Errorf("single point series wrong: %+v", got)
-	}
-}
-
-func TestKolmogorovSmirnov(t *testing.T) {
-	a := NewECDF([]float64{1, 2, 3, 4, 5})
-	b := NewECDF([]float64{1, 2, 3, 4, 5})
-	if d := a.KolmogorovSmirnov(b); d != 0 {
-		t.Errorf("identical samples KS = %v", d)
-	}
-	c := NewECDF([]float64{100, 101, 102})
-	if d := a.KolmogorovSmirnov(c); !approxEq(d, 1, 1e-12) {
-		t.Errorf("disjoint samples KS = %v, want 1", d)
-	}
-	if d := a.KolmogorovSmirnov(NewECDF(nil)); !math.IsNaN(d) {
-		t.Errorf("KS vs empty = %v, want NaN", d)
 	}
 }
 
@@ -222,93 +179,16 @@ func TestVarianceStd(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	if got := WeightedMean([]float64{1, 3}, []float64{1, 1}); !approxEq(got, 2, 1e-12) {
-		t.Errorf("WeightedMean = %v", got)
+// Eval returns F(x) = fraction of observations <= x.
+func (e *ECDF) Eval(x float64) float64 {
+	if len(e.sorted) == 0 {
+		return math.NaN()
 	}
-	if got := WeightedMean([]float64{1, 3}, []float64{0, 1}); !approxEq(got, 3, 1e-12) {
-		t.Errorf("WeightedMean = %v", got)
+	i := sort.SearchFloat64s(e.sorted, x)
+	// SearchFloat64s returns the first index with sorted[i] >= x; advance
+	// over equal values to make the CDF right-continuous (<= x).
+	for i < len(e.sorted) && e.sorted[i] == x {
+		i++
 	}
-	if !math.IsNaN(WeightedMean([]float64{1}, []float64{1, 2})) {
-		t.Error("length mismatch should be NaN")
-	}
-	if !math.IsNaN(WeightedMean([]float64{1}, []float64{0})) {
-		t.Error("zero weight sum should be NaN")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(1, 2, 4) // the paper's congestion bins, in MB
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{0.5, 0.9, 1.0, 1.5, 2.0, 3, 4, 5, 100} {
-		h.Observe(v)
-	}
-	h.Observe(math.NaN()) // ignored
-	want := []int64{3, 2, 2, 2}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Errorf("bin %d count = %d, want %d (counts=%v)", i, h.Counts[i], w, h.Counts)
-		}
-	}
-	if h.Total() != 9 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	fr := h.Fractions()
-	sum := 0.0
-	for _, f := range fr {
-		sum += f
-	}
-	if !approxEq(sum, 1, 1e-12) {
-		t.Errorf("fractions sum to %v", sum)
-	}
-	if h.BinLabel(0, "MB") == "" || h.BinLabel(3, "MB") == "" || h.BinLabel(1, "MB") == "" {
-		t.Error("empty bin labels")
-	}
-}
-
-func TestHistogramEdgeValidation(t *testing.T) {
-	if _, err := NewHistogram(2, 1); err == nil {
-		t.Error("descending edges accepted")
-	}
-	if _, err := NewHistogram(1, 1); err == nil {
-		t.Error("duplicate edges accepted")
-	}
-	h, _ := NewHistogram()
-	h.Observe(5)
-	if h.Counts[0] != 1 {
-		t.Error("edgeless histogram broken")
-	}
-	if h.Fractions() == nil {
-		t.Error("nonempty histogram returned nil fractions")
-	}
-	if (&Histogram{Counts: make([]int64, 1)}).Fractions() != nil {
-		t.Error("empty histogram should return nil fractions")
-	}
-}
-
-func TestLogBins(t *testing.T) {
-	edges, err := LogBins(1e-6, 1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(edges) != 7 {
-		t.Fatalf("len = %d", len(edges))
-	}
-	if !approxEq(edges[0], 1e-6, 1e-9) || !approxEq(edges[6], 1, 1e-9) {
-		t.Errorf("endpoints: %v", edges)
-	}
-	for i := 1; i < len(edges); i++ {
-		ratio := edges[i] / edges[i-1]
-		if !approxEq(ratio, 10, 1e-6) {
-			t.Errorf("ratio %d = %v, want 10", i, ratio)
-		}
-	}
-	if _, err := LogBins(0, 1, 3); err == nil {
-		t.Error("lo=0 accepted")
-	}
-	if _, err := LogBins(2, 1, 3); err == nil {
-		t.Error("hi<lo accepted")
-	}
+	return float64(i) / float64(len(e.sorted))
 }

@@ -36,10 +36,10 @@ func ExampleFisherCombined() {
 func ExampleNewECDF() {
 	e := stats.NewECDF([]float64{1, 2, 2, 3, 10})
 	fmt.Printf("F(2) = %.1f\n", e.Eval(2))
-	fmt.Printf("median = %v\n", e.Quantile(0.5))
+	fmt.Printf("n = %d\n", e.Len())
 	// Output:
 	// F(2) = 0.6
-	// median = 2
+	// n = 5
 }
 
 func ExampleBenjaminiHochberg() {

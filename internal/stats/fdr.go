@@ -42,17 +42,3 @@ func BenjaminiHochberg(pvalues []float64) ([]float64, error) {
 	}
 	return q, nil
 }
-
-// FDRReject returns which hypotheses the BH procedure rejects at the given
-// FDR level alpha, aligned with the input p-values.
-func FDRReject(pvalues []float64, alpha float64) ([]bool, error) {
-	q, err := BenjaminiHochberg(pvalues)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bool, len(q))
-	for i, v := range q {
-		out[i] = v <= alpha
-	}
-	return out, nil
-}

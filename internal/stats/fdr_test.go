@@ -65,15 +65,15 @@ func TestBenjaminiHochbergErrors(t *testing.T) {
 func TestFDRReject(t *testing.T) {
 	// One overwhelming signal among noise must survive; noise must not.
 	p := []float64{1e-12, 0.4, 0.7, 0.9, 0.2}
-	rej, err := FDRReject(p, 0.01)
+	q, err := BenjaminiHochberg(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rej[0] {
+	if q[0] > 0.01 {
 		t.Error("strong signal not rejected")
 	}
-	for i := 1; i < len(rej); i++ {
-		if rej[i] {
+	for i := 1; i < len(q); i++ {
+		if q[i] <= 0.01 {
 			t.Errorf("noise hypothesis %d rejected", i)
 		}
 	}
@@ -92,12 +92,12 @@ func TestFDRControlsUnderNull(t *testing.T) {
 		for i := range p {
 			p[i] = rng.Float64()
 		}
-		rej, err := FDRReject(p, alpha)
+		q, err := BenjaminiHochberg(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range rej {
-			if r {
+		for _, v := range q {
+			if v <= alpha {
 				rejections++
 				break
 			}

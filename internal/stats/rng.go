@@ -158,109 +158,10 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
 }
 
-// Poisson returns a Poisson-distributed count with the given mean. For small
-// means it uses Knuth's product method; for large means it uses the PTRS
-// transformed-rejection method of Hörmann (1993), which stays O(1).
-func (r *RNG) Poisson(mean float64) int64 {
-	switch {
-	case mean <= 0:
-		return 0
-	case mean < 30:
-		l := math.Exp(-mean)
-		k := int64(0)
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	default:
-		// Hörmann PTRS.
-		b := 0.931 + 2.53*math.Sqrt(mean)
-		a := -0.059 + 0.02483*b
-		invAlpha := 1.1239 + 1.1328/(b-3.4)
-		vr := 0.9277 - 3.6224/(b-2)
-		for {
-			u := r.Float64() - 0.5
-			v := r.Float64()
-			us := 0.5 - math.Abs(u)
-			k := math.Floor((2*a/us+b)*u + mean + 0.43)
-			if us >= 0.07 && v <= vr {
-				return int64(k)
-			}
-			if k < 0 || (us < 0.013 && v > us) {
-				continue
-			}
-			lg, _ := math.Lgamma(k + 1)
-			if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*math.Log(mean)-mean-lg {
-				return int64(k)
-			}
-		}
-	}
-}
-
-// Binomial returns a Binomial(n, p) deviate. It uses inversion by repeated
-// Bernoulli draws for small n and a normal approximation with clamping only
-// where exactness is not required by callers (sampling workloads, never
-// p-values).
-func (r *RNG) Binomial(n int64, p float64) int64 {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if n < 64 {
-		var k int64
-		for i := int64(0); i < n; i++ {
-			if r.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	// BTPE would be the textbook choice; a Poisson/normal split is accurate
-	// enough for workload sampling at the sizes we use.
-	mean := float64(n) * p
-	if mean < 30 {
-		// Thin a Poisson at low mean: rejection against the exact pmf ratio
-		// is unnecessary for workload purposes; inversion is fine here.
-		var k int64
-		q := math.Pow(1-p, float64(n))
-		u := r.Float64()
-		cum := q
-		for k = 0; cum < u && k < n; k++ {
-			q = q * float64(n-k) / float64(k+1) * p / (1 - p)
-			cum += q
-		}
-		return k
-	}
-	sd := math.Sqrt(mean * (1 - p))
-	k := int64(math.Round(mean + sd*r.NormFloat64()))
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	return k
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle randomizes the order of n elements using the provided swap
 // function (Fisher–Yates).
+//
+//lint:allow deadcode seam: core's property and equivalence tests shuffle their random blocks with it (randomBlock, randomChain, TestViolationFractionBoundsProperty)
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)

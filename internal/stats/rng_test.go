@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -166,98 +165,6 @@ func TestLogNormalMedian(t *testing.T) {
 	med := PercentileUnsorted(vals, 50)
 	if want := math.Exp(2.0); math.Abs(med-want)/want > 0.05 {
 		t.Errorf("lognormal median = %v, want ~%v", med, want)
-	}
-}
-
-func TestPoissonMoments(t *testing.T) {
-	for _, mean := range []float64{0.5, 3, 12, 80, 600} {
-		r := NewRNG(uint64(29 + mean))
-		n := 40000
-		var sum, sq float64
-		for i := 0; i < n; i++ {
-			v := float64(r.Poisson(mean))
-			if v < 0 {
-				t.Fatalf("Poisson(%v) negative", mean)
-			}
-			sum += v
-			sq += v * v
-		}
-		m := sum / float64(n)
-		variance := sq/float64(n) - m*m
-		if math.Abs(m-mean)/mean > 0.05 {
-			t.Errorf("Poisson(%v) sample mean = %v", mean, m)
-		}
-		if math.Abs(variance-mean)/mean > 0.10 {
-			t.Errorf("Poisson(%v) sample variance = %v", mean, variance)
-		}
-	}
-}
-
-func TestPoissonEdge(t *testing.T) {
-	r := NewRNG(1)
-	if v := r.Poisson(0); v != 0 {
-		t.Errorf("Poisson(0) = %d, want 0", v)
-	}
-	if v := r.Poisson(-3); v != 0 {
-		t.Errorf("Poisson(-3) = %d, want 0", v)
-	}
-}
-
-func TestBinomialMoments(t *testing.T) {
-	cases := []struct {
-		n int64
-		p float64
-	}{{20, 0.3}, {200, 0.05}, {5000, 0.4}}
-	for _, c := range cases {
-		r := NewRNG(uint64(c.n))
-		trials := 20000
-		var sum float64
-		for i := 0; i < trials; i++ {
-			v := r.Binomial(c.n, c.p)
-			if v < 0 || v > c.n {
-				t.Fatalf("Binomial(%d,%v) out of range: %d", c.n, c.p, v)
-			}
-			sum += float64(v)
-		}
-		mean := sum / float64(trials)
-		want := float64(c.n) * c.p
-		if math.Abs(mean-want)/want > 0.05 {
-			t.Errorf("Binomial(%d,%v) mean = %v, want ~%v", c.n, c.p, mean, want)
-		}
-	}
-}
-
-func TestBinomialEdges(t *testing.T) {
-	r := NewRNG(2)
-	if v := r.Binomial(10, 0); v != 0 {
-		t.Errorf("Binomial(10,0) = %d", v)
-	}
-	if v := r.Binomial(10, 1); v != 10 {
-		t.Errorf("Binomial(10,1) = %d", v)
-	}
-	if v := r.Binomial(0, 0.5); v != 0 {
-		t.Errorf("Binomial(0,0.5) = %d", v)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(31)
-	if err := quick.Check(func(raw uint8) bool {
-		n := int(raw%50) + 1
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -111,25 +111,10 @@ func Percentile(sorted []float64, p float64) float64 {
 
 // PercentileUnsorted sorts a copy of the sample and returns its p-th
 // percentile.
+//
+//lint:allow deadcode reference median/quartiles for the accel, sim, workload and stats distribution tests (TestQuoteMultiplierShape, TestCongestionDevelops, TestSizeModel, TestLogNormalMedian)
 func PercentileUnsorted(sample []float64, p float64) float64 {
 	c := append([]float64(nil), sample...)
 	sort.Float64s(c)
 	return Percentile(c, p)
-}
-
-// WeightedMean returns Σ w_i x_i / Σ w_i, or NaN if the weights sum to zero
-// or the slices differ in length.
-func WeightedMean(x, w []float64) float64 {
-	if len(x) != len(w) || len(x) == 0 {
-		return math.NaN()
-	}
-	var num, den float64
-	for i := range x {
-		num += x[i] * w[i]
-		den += w[i]
-	}
-	if den == 0 {
-		return math.NaN()
-	}
-	return num / den
 }

@@ -118,11 +118,11 @@ func TestDeriveAddressDeterministicDistinct(t *testing.T) {
 
 func TestBook(t *testing.T) {
 	b := NewBook("SlushPool", 56)
-	if b.Len() != 56 || b.Owner() != "SlushPool" {
-		t.Fatalf("Len=%d Owner=%q", b.Len(), b.Owner())
+	if b.Len() != 56 || b.owner != "SlushPool" {
+		t.Fatalf("Len=%d Owner=%q", b.Len(), b.owner)
 	}
 	seen := make(map[chain.Address]bool)
-	for _, a := range b.Addresses() {
+	for _, a := range b.addrs {
 		if !ValidAddress(a) {
 			t.Fatalf("invalid address %q", a)
 		}
@@ -137,7 +137,7 @@ func TestBook(t *testing.T) {
 	if b.Contains(DeriveAddress("other")) {
 		t.Error("Contains false positive")
 	}
-	if b.At(3) != b.Addresses()[3] {
+	if b.At(3) != b.addrs[3] {
 		t.Error("At mismatch")
 	}
 	if got := len(b.AsSet()); got != 56 {
@@ -170,9 +170,16 @@ func TestBookPick(t *testing.T) {
 func TestBooksDisjointAcrossOwners(t *testing.T) {
 	a := NewBook("PoolA", 30)
 	b := NewBook("PoolB", 30)
-	for _, addr := range a.Addresses() {
+	for _, addr := range a.addrs {
 		if b.Contains(addr) {
 			t.Fatalf("address %q in both books", addr)
 		}
 	}
+}
+
+// ValidAddress reports whether s parses as a Base58Check address with the
+// P2PKH version byte and a 20-byte payload.
+func ValidAddress(s chain.Address) bool {
+	v, payload, err := Base58CheckDecode(string(s))
+	return err == nil && v == P2PKHVersion && len(payload) == hash160Size
 }

@@ -98,9 +98,3 @@ func (m *SizeModel) Sample() int64 {
 	}
 	return v
 }
-
-// MeanVSize returns the analytic mean of the size model (before clamping),
-// used to translate tx/s arrival rates into vB/s load factors.
-func (m *SizeModel) MeanVSize() float64 {
-	return m.Median * math.Exp(m.Sigma*m.Sigma/2)
-}

@@ -46,9 +46,6 @@ func NewGenerator(rng *stats.RNG, nUsers int) *Generator {
 // Fees exposes the fee model (for calibration in tests and benches).
 func (g *Generator) Fees() *FeeModel { return g.fees }
 
-// Sizes exposes the size model.
-func (g *Generator) Sizes() *SizeModel { return g.sizes }
-
 // randomUser picks a user wallet.
 func (g *Generator) randomUser() chain.Address {
 	return g.users[g.rng.Intn(len(g.users))]

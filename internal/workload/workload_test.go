@@ -73,9 +73,6 @@ func TestSizeModel(t *testing.T) {
 	if math.Abs(med-250)/250 > 0.1 {
 		t.Errorf("median size = %v, want ~250", med)
 	}
-	if m.MeanVSize() <= m.Median {
-		t.Error("lognormal mean should exceed median")
-	}
 }
 
 func TestUserTxValidAndDiverse(t *testing.T) {
