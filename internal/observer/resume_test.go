@@ -16,6 +16,7 @@ import (
 
 	"chainaudit/internal/chain"
 	"chainaudit/internal/faults"
+	"chainaudit/internal/obs"
 	"chainaudit/internal/observer"
 	"chainaudit/internal/p2p"
 	"chainaudit/internal/serve"
@@ -123,6 +124,52 @@ func TestHTTPSinkRedeliveryKeepsSnapshots(t *testing.T) {
 	}
 }
 
+// TestHTTPSinksLaggingSourceKeepsSnapshots feeds one set from two
+// attributed HTTP sinks: s1 ships the chain in 8-block batches and s2 in
+// 4-block batches, s1 first each round, so s2 trails behind blocks s1
+// already delivered. The horizon s2 learns from s1's blocks may trim its
+// block frames but must never skip its batches: every snapshot frame of
+// both sources lands.
+func TestHTTPSinksLaggingSourceKeepsSnapshots(t *testing.T) {
+	h, c := serveFixture(t)
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	blocks := c.Blocks()
+	chunk := func(n int) []*observer.Batch {
+		var out []*observer.Batch
+		for i := 0; i < len(blocks); i += n {
+			out = append(out, mkObsBatch(blocks[i:min(i+n, len(blocks))]))
+		}
+		return out
+	}
+	feeds := []struct {
+		sink    *observer.HTTPSink
+		batches []*observer.Batch
+	}{
+		{&observer.HTTPSink{URL: ts.URL, Dataset: "multi", Source: "s1", Backoff: time.Millisecond}, chunk(8)},
+		{&observer.HTTPSink{URL: ts.URL, Dataset: "multi", Source: "s2", Backoff: time.Millisecond}, chunk(4)},
+	}
+	want := 0
+	for round := 0; round < len(feeds[1].batches); round++ {
+		for _, f := range feeds {
+			if round < len(f.batches) {
+				if err := f.sink.Apply(context.Background(), f.batches[round]); err != nil {
+					t.Fatalf("%s round %d: %v", f.sink.Source, round, err)
+				}
+				want += len(f.batches[round].Snapshots)
+			}
+		}
+	}
+	hz, i := healthDataset(t, ts.URL, "multi")
+	d := hz.Datasets[i]
+	if d.IndexLen != len(blocks) {
+		t.Errorf("index_len = %d, want %d", d.IndexLen, len(blocks))
+	}
+	if d.Snapshots != int64(want) || want != 2*len(blocks) {
+		t.Errorf("snapshots = %d, want %d (a lagging source lost frames)", d.Snapshots, 2*len(blocks))
+	}
+}
+
 // TestHTTPSinkResumeAfterServerRestart exercises the durable-streaming
 // resume loop: ship half a feed to a WAL-backed server, kill it (no
 // shutdown), restart over the same stream directory, sync the recovered
@@ -176,12 +223,17 @@ func TestHTTPSinkResumeAfterServerRestart(t *testing.T) {
 		t.Fatalf("recovered watermark %d, want %d", wm, lastShipped)
 	}
 
-	// The observer replays its source from the start; the sink skips what
-	// the recovered server already holds.
+	// The observer replays its source from the start; the sink skips the
+	// batches the recovered server already holds, without posting them.
+	skipped := func() int64 { return obs.Default.Snapshot().Counters["observer.skipped_covered"] }
+	before := skipped()
 	for i, b := range batches {
 		if err := sink2.Apply(context.Background(), b); err != nil {
 			t.Fatalf("resume batch %d: %v", i, err)
 		}
+	}
+	if n := skipped() - before; n != int64(cut) {
+		t.Errorf("resume skipped %d batches, want the %d delivered before the restart", n, cut)
 	}
 
 	// Reference: the same feed into a fresh durable server, never killed.

@@ -122,10 +122,17 @@ type HTTPSink struct {
 	Last serve.IngestResponse
 
 	// covered is the highest block height the service has durably
-	// acknowledged (from SyncWatermark or response watermarks); blocks at or
-	// below it are already applied server-side.
+	// acknowledged (from SyncWatermark, response watermarks, or covered
+	// rejections); blocks at or below it are already applied server-side,
+	// so they are trimmed before the first post. Another source's blocks
+	// can raise it, so it says nothing about this sink's snapshots.
 	covered   int64
 	coveredOK bool
+	// resumed is the watermark SyncWatermark read: this sink's feed up to
+	// it was applied in full, snapshots included, so whole batches at or
+	// below it are skipped.
+	resumed   int64
+	resumedOK bool
 	fallback  *http.Client
 	jitter    *stats.RNG
 }
@@ -203,6 +210,7 @@ func (s *HTTPSink) SyncWatermark(ctx context.Context) (int64, bool, error) {
 	}
 	for _, d := range resp.Datasets {
 		if d.Name == s.Dataset && d.Watermark != nil {
+			s.resumed, s.resumedOK = d.Watermark.Height, true
 			s.extendCovered(d.Watermark.Height)
 			return d.Watermark.Height, true, nil
 		}
@@ -220,14 +228,22 @@ func (s *HTTPSink) extendCovered(h int64) {
 // Apply ships one batch, retrying transport failures until the retry budget
 // is spent and trimming blocks the service already holds.
 func (s *HTTPSink) Apply(ctx context.Context, b *Batch) error {
-	if h := b.maxHeight(); h >= 0 && s.coveredOK && h <= s.covered {
+	if h := b.maxHeight(); h >= 0 && s.resumedOK && h <= s.resumed {
 		// Ingest applied the whole request — snapshots included — before
-		// acknowledging, so a batch below the synced watermark is durable
-		// server-side in full and needs no delivery at all.
+		// acknowledging, so a batch below the watermark synced at resume is
+		// durable server-side in full and needs no delivery at all.
 		mSkipped.Inc()
 		return nil
 	}
 	req := b.Request(s.Dataset)
+	if s.coveredOK {
+		// Blocks the service already holds would only draw a covered
+		// rejection; the snapshots still have to land.
+		trimBlocks(&req, s.covered)
+		if len(req.Blocks) == 0 && len(req.Mempool) == 0 {
+			return nil
+		}
+	}
 	version := "/v1/ingest"
 	if s.Source != "" {
 		req.Source = s.Source

@@ -6,8 +6,11 @@ package serve
 // reports replayed lines that stop at a conflict.
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -90,8 +93,8 @@ func pinnedStream() (v1 IngestRequest, v2 []IngestRequest) {
 // TestIngestFingerprintPinned feeds the pinned stream and requires the
 // fingerprints an earlier release computed for it, after the v1 batch and
 // at the end. A durable set recovered from its WAL lands on the same
-// fingerprint; the duplicate batch the stream ends with is answered 409,
-// logged write-ahead, and counted as a replay conflict on recovery.
+// fingerprint; the duplicate batch the stream ends with is answered 409
+// without a WAL line, so recovery replays no conflict.
 func TestIngestFingerprintPinned(t *testing.T) {
 	const (
 		wantV1  = "a8aed6e17c03aa6d"
@@ -123,8 +126,20 @@ func TestIngestFingerprintPinned(t *testing.T) {
 	}
 	dup := v2[1]
 	dup.Mempool = nil
+	walLines := func() int {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, "pinned"+walSuffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Count(data, []byte("\n"))
+	}
+	logged := walLines()
 	if got := post("/v2/ingest", dup, http.StatusConflict).Fingerprint; got != wantEnd {
 		t.Errorf("fingerprint at the end of the stream = %s, want %s", got, wantEnd)
+	}
+	if n := walLines() - logged; n != 0 {
+		t.Errorf("the covered batch added %d WAL lines, want 0", n)
 	}
 
 	conflicts := func() int64 { return obs.Default.Snapshot().Counters["serve.wal.replay_conflicts"] }
@@ -135,8 +150,8 @@ func TestIngestFingerprintPinned(t *testing.T) {
 	}
 	defer recovered.Close()
 	defer srv.Close()
-	if n := conflicts() - before; n != 1 {
-		t.Errorf("recovery counted %d replay conflicts, want 1", n)
+	if n := conflicts() - before; n != 0 {
+		t.Errorf("recovery counted %d replay conflicts, want 0", n)
 	}
 	set, err := recovered.lookupSet("pinned")
 	if err != nil {

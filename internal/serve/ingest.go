@@ -348,7 +348,9 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, api string) {
 }
 
 // ingestLocked is the critical section of ingest: WAL append, in-memory
-// apply, and checkpoint compaction under the set's write lock. It returns
+// apply, and checkpoint compaction under the set's write lock. A covered
+// batch (stream.Set.Covered) is not logged: it can only be refused, and
+// its apply answers the 409 without changing the set. It returns
 // the HTTP status for the batch and fills resp's progress fields; the
 // caller writes the response AFTER the lock is released, so a slow or
 // stalled client connection can never freeze the set for concurrent
@@ -356,7 +358,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, api string) {
 func (s *Server) ingestLocked(set *auditSet, req *IngestRequest, batch *stream.Batch, resp *IngestResponse) int {
 	set.mu.Lock()
 	defer set.mu.Unlock()
-	if set.wal != nil {
+	if set.wal != nil && !set.stream.Covered(batch) {
 		//lint:allow lockheld write-ahead ordering invariant: the WAL append must commit under the same set.mu hold as stream.Set.Apply, or a concurrent batch could apply between log and apply and recovery would replay them out of order
 		if err := set.wal.appendRequest(req); err != nil {
 			// Write-ahead failed: nothing was applied, so the feeder can

@@ -151,6 +151,14 @@ func (s *Set) Progress() Progress {
 	return p
 }
 
+// Covered reports whether the batch's first block is at or below the
+// watermark height. Such a batch applies nothing: chain contiguity fails
+// its first append, so Apply returns that error and skips the snapshots.
+// A caller that logs batches write-ahead answers it without logging it.
+func (s *Set) Covered(b *Batch) bool {
+	return len(b.Blocks) > 0 && s.st.Appends > 0 && b.Blocks[0].Height <= s.st.LastHeight
+}
+
 // Apply applies one batch under the rule in the package doc. On a failing
 // block it returns that block's error; the blocks applied before it stay
 // and the Progress counts them.

@@ -55,6 +55,40 @@ func TestApplyFailingBlockSkipsSnapshots(t *testing.T) {
 	}
 }
 
+// TestCoveredBatchAppliesNothing pins Covered's promise: a batch whose first
+// block is at or below the watermark fails Apply at that block and leaves
+// the set as it was, snapshots included; batches above the watermark, and
+// every batch of an empty set, are not covered.
+func TestCoveredBatchAppliesNothing(t *testing.T) {
+	s := New("t", NewIndex(0), clock)
+	b0, b1, b2 := mkBlock(0), mkBlock(1), mkBlock(2)
+	if s.Covered(&Batch{Blocks: []*chain.Block{b0}}) {
+		t.Fatal("an empty set reported a batch covered")
+	}
+	if _, err := s.Apply(&Batch{Blocks: []*chain.Block{b0, b1}}); err != nil {
+		t.Fatal(err)
+	}
+	before := s.State()
+	for _, first := range []*chain.Block{b0, b1} {
+		b := &Batch{Blocks: []*chain.Block{first, b2}, Snapshots: []Snapshot{snapOf(b2, b2.Time)}}
+		if !s.Covered(b) {
+			t.Fatalf("batch from height %d not covered at watermark 1", first.Height)
+		}
+		p, err := s.Apply(b)
+		if err == nil || p.Appended != 0 || p.Snapshots != 0 {
+			t.Fatalf("covered batch from height %d: progress %+v, err %v", first.Height, p, err)
+		}
+		if st := s.State(); st != before {
+			t.Fatalf("covered batch changed the state: %+v, want %+v", st, before)
+		}
+	}
+	for _, b := range []*Batch{{Blocks: []*chain.Block{b2}}, {Snapshots: []Snapshot{snapOf(b1, b1.Time)}}} {
+		if s.Covered(b) {
+			t.Errorf("batch %+v reported covered at watermark 1", b)
+		}
+	}
+}
+
 func TestApplySnapshotRule(t *testing.T) {
 	s := New("t", NewIndex(0), clock)
 	b0 := mkBlock(0)
