@@ -124,7 +124,9 @@ func sortedNames(m map[string]bool) []string {
 
 // Run executes every in-scope analyzer over every package, applies
 // //lint:allow suppression, reports directive misuse and stale directives,
-// and returns the findings sorted by position.
+// and returns the findings sorted by position. State shared across the
+// packages, such as deadcode's module-wide use set, is computed at most
+// once per Run.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
