@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-key reproduce lint lint-fixtures lint-json smoke-metrics smoke-chaos smoke-serve smoke-stream smoke-live smoke-crash smoke-multi clean
+.PHONY: check build vet test race bench bench-short reproduce lint lint-fixtures lint-json smoke-metrics smoke-chaos smoke-serve smoke-stream smoke-live smoke-crash smoke-multi clean
 
 # check is the tier-1 gate: vet, build, the analyzer suite (plus the guard
 # that keeps its fixtures honest), the full test suite under the race
-# detector, and the metrics, chaos, service, stream-replay, live-feed,
-# crash-recovery, and multi-source smoke tests. Each smoke gate runs as one
+# detector, the metrics, chaos, service, stream-replay, live-feed,
+# crash-recovery, and multi-source smoke tests, and a short run of the
+# benchmark with all its output checks. Each smoke gate runs as one
 # `set -e` shell that writes only under its own mktemp -d directory and
 # removes it when it exits, so concurrent runs never share a path; a
 # daemon's exit trap runs with `set +e`, since its kill may find the daemon
 # already gone.
-check: vet build lint lint-fixtures race smoke-metrics smoke-chaos smoke-serve smoke-stream smoke-live smoke-crash smoke-multi
+check: vet build lint lint-fixtures race smoke-metrics smoke-chaos smoke-serve smoke-stream smoke-live smoke-crash smoke-multi bench-short
 
 # lint runs the determinism & concurrency/durability analyzer suite
 # (DESIGN.md §9) over every module package. Any unsuppressed finding fails
@@ -53,21 +54,22 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs every experiment benchmark, then writes the machine-readable
-# streaming-path report (chainaudit.bench/v1 schema: batch vs incremental
-# index, window audits, live observer ingest with ship latency percentiles,
-# and attributed multi-source observation with the divergence-audit
-# counters) to the next free BENCH_N.json, one past the highest checked-in
-# N; bench-key runs just the two the shared-index refactor is measured by.
-# BENCH_N.json files are a perf trajectory and are never overwritten
-# (see EXPERIMENTS.md).
+# bench runs perfbench, the one performance ledger (perfbench/README.md):
+# ten runs of every workload with their spreads, bounds and per-layer
+# metrics, written as JSON lines to .bench_build/steady.jsonl (removed first:
+# steady appends). Compare two such files with
+# `bash perfbench/run.sh compare parent.jsonl change.jsonl`. The checked-in
+# BENCH_6..8.json are frozen history from an earlier harness; nothing
+# regenerates them.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
-	n=$$(ls BENCH_*.json 2>/dev/null | sed 's/[^0-9]//g' | sort -n | tail -n 1); \
-	$(GO) run ./cmd/chainbench -out BENCH_$$(( $${n:-0} + 1 )).json
+	rm -f .bench_build/steady.jsonl
+	bash perfbench/run.sh steady -out .bench_build/steady.jsonl
 
-bench-key:
-	$(GO) test -bench='BenchmarkFig07PPE|BenchmarkTable2SelfInterest' -benchtime=3x -run=^$$ .
+# bench-short runs every perfbench workload once at a tiny size with every
+# output check kept, so check fails when the benchmark stops running or its
+# checks fail.
+bench-short:
+	bash perfbench/run.sh --short
 
 reproduce:
 	$(GO) run ./cmd/reproduce

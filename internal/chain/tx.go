@@ -39,6 +39,18 @@ func (id TxID) String() string { return hex.EncodeToString(id[:]) }
 // Short returns the first 8 hex characters, for compact logs.
 func (id TxID) Short() string { return hex.EncodeToString(id[:4]) }
 
+// Less reports whether id sorts before other in byte order, which is also
+// the order of their String() encodings. It is the one transaction-ID order
+// every deterministic tie-break and sorted listing uses.
+func (id TxID) Less(other TxID) bool {
+	for i := range id {
+		if id[i] != other[i] {
+			return id[i] < other[i]
+		}
+	}
+	return false
+}
+
 // Address identifies a wallet. See package wallet for derivation and
 // encoding; chain treats addresses as opaque comparable strings.
 type Address string

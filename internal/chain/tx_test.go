@@ -187,3 +187,16 @@ func TestSubsidyMonotoneNonIncreasing(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTxIDLessMatchesStringOrder checks that the byte order of Less agrees
+// with the order of the hex encodings, including IDs that share a prefix of
+// any length (k bytes copied from a into b) and equal IDs.
+func TestTxIDLessMatchesStringOrder(t *testing.T) {
+	if err := quick.Check(func(a, b TxID, k uint8) bool {
+		copy(b[:], a[:int(k)%(len(a)+1)])
+		as, bs := a.String(), b.String()
+		return a.Less(b) == (as < bs) && b.Less(a) == (bs < as) && !a.Less(a)
+	}, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}

@@ -156,7 +156,7 @@ func DivergenceAudit(ledger map[chain.TxID]map[string]time.Time, opts Divergence
 	for id := range ledger {
 		txids = append(txids, id)
 	}
-	sort.Slice(txids, func(i, j int) bool { return txids[i].String() < txids[j].String() })
+	sort.Slice(txids, func(i, j int) bool { return txids[i].Less(txids[j]) })
 
 	n := len(sources)
 	observed := make([]int, n)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"chainaudit/internal/chain"
-	"chainaudit/internal/faults"
 	"chainaudit/internal/obs"
 )
 
@@ -32,20 +31,10 @@ var csvHeader = []string{
 // WriteChainCSV serializes the chain's blocks to CSV. Coinbase rows carry
 // position 0 and empty input columns.
 func WriteChainCSV(w io.Writer, c *chain.Chain) error {
-	return WriteChainCSVFaults(w, c, nil)
-}
-
-// WriteChainCSVFaults serializes like WriteChainCSV, letting the injector
-// mangle rows on the way out: corrupted rows get an unparseable txid,
-// truncated rows lose every column past the block context. A nil injector
-// writes clean output. The per-row decisions hash (seed, row index), so the
-// same plan always damages the same records.
-func WriteChainCSVFaults(w io.Writer, c *chain.Chain, rf *faults.RecordFaults) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {
 		return err
 	}
-	rowIdx := 0
 	for _, b := range c.Blocks() {
 		for i, tx := range b.Txs {
 			row := make([]string, 0, len(csvHeader))
@@ -76,13 +65,6 @@ func WriteChainCSVFaults(w io.Writer, c *chain.Chain, rf *faults.RecordFaults) e
 			} else {
 				row = append(row, "", "")
 			}
-			switch rf.RowFault(rowIdx) {
-			case faults.FaultCorrupt:
-				row[4] = "deadbeef" // txid mangled: wrong length, unparseable
-			case faults.FaultTruncate:
-				row = row[:4] // record cut short mid-write
-			}
-			rowIdx++
 			if err := cw.Write(row); err != nil {
 				return err
 			}

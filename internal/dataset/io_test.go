@@ -2,12 +2,13 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
 	"strconv"
 	"strings"
 	"testing"
 
-	"chainaudit/internal/faults"
 	"chainaudit/internal/obs"
+	"chainaudit/internal/stats"
 )
 
 // TestQuarantineCleanInputMatchesStrictReader pins that the tolerant reader
@@ -40,18 +41,33 @@ func TestQuarantineCleanInputMatchesStrictReader(t *testing.T) {
 	}
 }
 
-// TestQuarantineRecoversFromInjectedFaults round-trips a chain through
-// WriteChainCSVFaults with corruption and truncation on, and checks every
-// damaged record lands in quarantine with a line number and reason while the
-// rest of the data survives.
+// TestQuarantineRecoversFromInjectedFaults writes a chain's clean CSV,
+// damages a seeded ~3% of its rows each way (an unparseable txid, or the
+// record cut short after the block context), and checks every damaged
+// record lands in quarantine with a line number and reason while the rest
+// of the data survives.
 func TestQuarantineRecoversFromInjectedFaults(t *testing.T) {
 	c := getA(t).Result.Chain
-	plan, err := faults.ParseSpec("seed=5,rec.corrupt=0.03,rec.truncate=0.03")
+	var clean bytes.Buffer
+	if err := WriteChainCSV(&clean, c); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&clean).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rng := stats.NewRNG(5)
+	for i := 1; i < len(rows); i++ { // row 0 is the header
+		switch u := rng.Float64(); {
+		case u < 0.03:
+			rows[i][4] = "deadbeef" // txid mangled: wrong length, unparseable
+		case u < 0.06:
+			rows[i] = rows[i][:4] // record cut short mid-write
+		}
+	}
 	var buf bytes.Buffer
-	if err := WriteChainCSVFaults(&buf, c, plan.Records(0)); err != nil {
+	cw := csv.NewWriter(&buf)
+	if err := cw.WriteAll(rows); err != nil {
 		t.Fatal(err)
 	}
 	q0 := obs.Default.Counter("degraded.dataset.quarantined").Value()

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation from freshly simulated data sets. Each experiment returns a
 // report.Table or report.Figure carrying the same rows/series the paper
-// reports; cmd/reproduce prints them and bench_test.go benchmarks them.
+// reports; cmd/reproduce prints them and perfbench times each one
+// (experiments.<id>_ms).
 // EXPERIMENTS.md records the paper-vs-measured comparison for each.
 package experiments
 

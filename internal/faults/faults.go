@@ -4,7 +4,7 @@
 // first-seen coverage, flaky pool endpoints — and this package lets the
 // reproduction rehearse exactly those failures on purpose: a seeded Plan
 // derives independent random streams per consumer (p2p relay, simulator,
-// dataset records), so a chaos run is reproducible bit-for-bit from its
+// write-ahead log), so a chaos run is reproducible bit-for-bit from its
 // (seed, rates) pair alone.
 //
 // Consumers hold injector handles derived from the Plan:
@@ -14,9 +14,6 @@
 //   - Plan.Sim — mining-pool outages, observer first-seen misses, and
 //     snapshot blackout windows (the paper's monitoring-node gaps),
 //     consumed by internal/sim;
-//   - Plan.Records — per-row corruption/truncation of exported dataset
-//     records, consumed by internal/dataset's CSV writer and exercised
-//     against its quarantining reader;
 //   - Plan.WAL — per-append crash/torn-write decisions for the streaming
 //     write-ahead log, consumed by internal/serve to rehearse auditor
 //     restarts and recovery's truncate-and-warn path.
@@ -43,17 +40,15 @@ import (
 // decision site inside the injectors, so consumers cannot forget to account
 // for a fault they applied.
 var (
-	cP2PDrop    = obs.Default.Counter("faults.p2p.drop")
-	cP2PDup     = obs.Default.Counter("faults.p2p.duplicate")
-	cP2PDelay   = obs.Default.Counter("faults.p2p.delay")
-	cChurn      = obs.Default.Counter("faults.p2p.churn")
-	cOutage     = obs.Default.Counter("faults.sim.pool_outage")
-	cObsMiss    = obs.Default.Counter("faults.sim.observer_miss")
-	cBlackoutW  = obs.Default.Counter("faults.sim.blackout_window")
-	cRecCorrupt = obs.Default.Counter("faults.dataset.corrupt_record")
-	cRecTrunc   = obs.Default.Counter("faults.dataset.truncate_record")
-	cWALTear    = obs.Default.Counter("faults.wal.tear")
-	cWALCrash   = obs.Default.Counter("faults.wal.crash")
+	cP2PDrop   = obs.Default.Counter("faults.p2p.drop")
+	cP2PDup    = obs.Default.Counter("faults.p2p.duplicate")
+	cP2PDelay  = obs.Default.Counter("faults.p2p.delay")
+	cChurn     = obs.Default.Counter("faults.p2p.churn")
+	cOutage    = obs.Default.Counter("faults.sim.pool_outage")
+	cObsMiss   = obs.Default.Counter("faults.sim.observer_miss")
+	cBlackoutW = obs.Default.Counter("faults.sim.blackout_window")
+	cWALTear   = obs.Default.Counter("faults.wal.tear")
+	cWALCrash  = obs.Default.Counter("faults.wal.crash")
 )
 
 // Rates are the fault-injection knobs. All probability knobs are per-event
@@ -85,12 +80,6 @@ type Rates struct {
 	Blackout float64
 	// BlackoutWindow is the mean blackout window length (default 10 min).
 	BlackoutWindow time.Duration
-	// CorruptRecord is the per-row probability an exported dataset record
-	// is corrupted in place.
-	CorruptRecord float64
-	// TruncateRecord is the per-row probability an exported dataset record
-	// is cut short.
-	TruncateRecord float64
 	// WALTear is the per-append probability a write-ahead-log append is torn:
 	// the process "dies" mid-write, leaving only a prefix of the line on
 	// disk. The WAL layer reports a crash and refuses further appends until
@@ -106,8 +95,7 @@ type Rates struct {
 func (r Rates) Zero() bool {
 	return r.P2PDrop == 0 && r.P2PDuplicate == 0 && r.P2PDelay == 0 &&
 		r.Churn == 0 && r.PoolOutage == 0 && r.ObserverMiss == 0 &&
-		r.Blackout == 0 && r.CorruptRecord == 0 && r.TruncateRecord == 0 &&
-		r.WALTear == 0 && r.WALCrash == 0
+		r.Blackout == 0 && r.WALTear == 0 && r.WALCrash == 0
 }
 
 func (r Rates) validate() error {
@@ -117,8 +105,7 @@ func (r Rates) validate() error {
 	}{
 		{"p2p.drop", r.P2PDrop}, {"p2p.dup", r.P2PDuplicate}, {"p2p.delay", r.P2PDelay},
 		{"churn", r.Churn}, {"pool.outage", r.PoolOutage}, {"obs.miss", r.ObserverMiss},
-		{"snap.blackout", r.Blackout}, {"rec.corrupt", r.CorruptRecord}, {"rec.truncate", r.TruncateRecord},
-		{"wal.tear", r.WALTear}, {"wal.crash", r.WALCrash},
+		{"snap.blackout", r.Blackout}, {"wal.tear", r.WALTear}, {"wal.crash", r.WALCrash},
 	}
 	for _, p := range probs {
 		if p.v < 0 || p.v > 1 {
@@ -197,8 +184,6 @@ func (p *Plan) Spec() string {
 	add("obs.miss", r.ObserverMiss)
 	add("snap.blackout", r.Blackout)
 	addDur("snap.window", r.BlackoutWindow)
-	add("rec.corrupt", r.CorruptRecord)
-	add("rec.truncate", r.TruncateRecord)
 	add("wal.tear", r.WALTear)
 	add("wal.crash", r.WALCrash)
 	return strings.Join(parts, ",")
@@ -216,10 +201,9 @@ func (p *Plan) Fingerprint() string {
 
 // ParseSpec parses a "-chaos" style spec: comma-separated key=value pairs.
 // Keys: seed, p2p.drop, p2p.dup, p2p.delay, p2p.delaymax, churn,
-// pool.outage, obs.miss, snap.blackout, snap.window, rec.corrupt,
-// rec.truncate, wal.tear, wal.crash. Probabilities are floats in [0,1];
-// delaymax/window are Go durations. A bare "seed=N" is a valid (zero-rate)
-// plan.
+// pool.outage, obs.miss, snap.blackout, snap.window, wal.tear, wal.crash.
+// Probabilities are floats in [0,1]; delaymax/window are Go durations. A
+// bare "seed=N" is a valid (zero-rate) plan.
 func ParseSpec(spec string) (*Plan, error) {
 	var (
 		seed uint64
@@ -273,10 +257,6 @@ func ParseSpec(spec string) (*Plan, error) {
 			r.ObserverMiss = f
 		case "snap.blackout":
 			r.Blackout = f
-		case "rec.corrupt":
-			r.CorruptRecord = f
-		case "rec.truncate":
-			r.TruncateRecord = f
 		case "wal.tear":
 			r.WALTear = f
 		case "wal.crash":
@@ -458,53 +438,6 @@ func (s *SimInjector) Blackouts(obsIdx int, start, end time.Time) []Window {
 		cBlackoutW.Inc()
 		out = append(out, w)
 		t = w.End
-	}
-}
-
-// RecordFault is one dataset record's injected fate.
-type RecordFault int
-
-// Record fates.
-const (
-	FaultNone RecordFault = iota
-	FaultCorrupt
-	FaultTruncate
-)
-
-// RecordFaults decides per-row dataset record faults. Decisions are a
-// stateless hash of (seed, row), so they are independent of read/write
-// order and safe for concurrent use.
-type RecordFaults struct {
-	r    Rates
-	seed uint64
-}
-
-// Records derives a record-fault injector; label distinguishes exports.
-// Returns nil for an inactive plan.
-//
-//lint:allow deadcode seam: the dataset and faults tests derive record-fault injectors from a plan with it (TestQuarantineRecoversFromInjectedFaults, TestRecordFaultsStatelessPerRow)
-func (p *Plan) Records(label uint64) *RecordFaults {
-	if !p.Active() {
-		return nil
-	}
-	return &RecordFaults{r: p.Rates, seed: mix(p.Seed, 0x2ec^label)}
-}
-
-// RowFault decides row's fate. Nil-safe: no fault.
-func (rf *RecordFaults) RowFault(row int) RecordFault {
-	if rf == nil || (rf.r.CorruptRecord <= 0 && rf.r.TruncateRecord <= 0) {
-		return FaultNone
-	}
-	u := stats.NewRNG(mix(rf.seed, uint64(row))).Float64()
-	switch {
-	case u < rf.r.CorruptRecord:
-		cRecCorrupt.Inc()
-		return FaultCorrupt
-	case u < rf.r.CorruptRecord+rf.r.TruncateRecord:
-		cRecTrunc.Inc()
-		return FaultTruncate
-	default:
-		return FaultNone
 	}
 }
 

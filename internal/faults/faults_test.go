@@ -6,7 +6,7 @@ import (
 )
 
 func TestParseSpecRoundTrip(t *testing.T) {
-	spec := "seed=7,p2p.drop=0.05,p2p.dup=0.02,p2p.delay=0.1,p2p.delaymax=3s,churn=0.01,pool.outage=0.08,obs.miss=0.15,snap.blackout=0.2,snap.window=5m0s,rec.corrupt=0.02,rec.truncate=0.01,wal.tear=0.03,wal.crash=0.02"
+	spec := "seed=7,p2p.drop=0.05,p2p.dup=0.02,p2p.delay=0.1,p2p.delaymax=3s,churn=0.01,pool.outage=0.08,obs.miss=0.15,snap.blackout=0.2,snap.window=5m0s,wal.tear=0.03,wal.crash=0.02"
 	p, err := ParseSpec(spec)
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
@@ -36,7 +36,8 @@ func TestParseSpecErrors(t *testing.T) {
 		"bogus=0.5",         // unknown key
 		"p2p.delaymax=nope", // bad duration
 		"p2p.delaymax=-1s",  // negative duration
-		"rec.corrupt=zero",  // bad float
+		"obs.miss=zero",     // bad float
+		"rec.corrupt=0.1",   // unknown key: there is no record-fault class
 		"wal.tear=2",        // out of range
 	} {
 		if _, err := ParseSpec(spec); err == nil {
@@ -64,9 +65,6 @@ func TestInactivePlansAreNoOps(t *testing.T) {
 		if inj := p.Sim(1); inj != nil {
 			t.Errorf("%s plan: Sim() != nil", name)
 		}
-		if inj := p.Records(1); inj != nil {
-			t.Errorf("%s plan: Records() != nil", name)
-		}
 		if inj := p.WAL(1); inj != nil {
 			t.Errorf("%s plan: WAL() != nil", name)
 		}
@@ -85,10 +83,6 @@ func TestInactivePlansAreNoOps(t *testing.T) {
 	}
 	if w := sim.Blackouts(0, time.Unix(0, 0), time.Unix(3600, 0)); w != nil {
 		t.Errorf("nil SimInjector.Blackouts() = %v", w)
-	}
-	var rf *RecordFaults
-	if f := rf.RowFault(3); f != FaultNone {
-		t.Errorf("nil RecordFaults.RowFault() = %v", f)
 	}
 	var wal *WALInjector
 	if act := wal.Append(); act != (WALAction{}) {
@@ -247,33 +241,5 @@ func TestWindowContains(t *testing.T) {
 	}
 	if w.Contains(s.Add(-time.Second)) || w.Contains(s.Add(2*time.Minute)) {
 		t.Error("window contains points outside itself")
-	}
-}
-
-func TestRecordFaultsStatelessPerRow(t *testing.T) {
-	p, err := ParseSpec("seed=9,rec.corrupt=0.1,rec.truncate=0.05")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf := p.Records(1)
-	// Same row always gets the same fate, regardless of query order.
-	forward := make([]RecordFault, 200)
-	for i := range forward {
-		forward[i] = rf.RowFault(i)
-	}
-	for i := len(forward) - 1; i >= 0; i-- {
-		if got := rf.RowFault(i); got != forward[i] {
-			t.Fatalf("row %d fate changed on reverse query: %v vs %v", i, got, forward[i])
-		}
-	}
-	counts := map[RecordFault]int{}
-	for _, f := range forward {
-		counts[f]++
-	}
-	if counts[FaultCorrupt] == 0 && counts[FaultTruncate] == 0 {
-		t.Fatal("no faults drawn in 200 rows at 15% combined rate")
-	}
-	if counts[FaultNone] == 0 {
-		t.Fatal("every row faulted at 15% combined rate")
 	}
 }

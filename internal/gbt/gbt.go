@@ -59,7 +59,7 @@ func (h scoreHeap) Less(i, j int) bool {
 	if h[i].score != h[j].score {
 		return h[i].score > h[j].score
 	}
-	return lessID(h[i].tieBreak, h[j].tieBreak)
+	return h[i].tieBreak.Less(h[j].tieBreak)
 }
 func (h scoreHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
@@ -77,15 +77,6 @@ func (h *scoreHeap) Pop() any {
 	n.heapIndex = -1
 	*h = old[:len(old)-1]
 	return n
-}
-
-func lessID(a, b chain.TxID) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
 
 // buildGraph constructs scheduling nodes for all entries with the given
@@ -354,7 +345,7 @@ func (h candHeap) Less(i, j int) bool {
 	if h[i].score != h[j].score {
 		return h[i].score > h[j].score
 	}
-	return lessID(h[i].id, h[j].id)
+	return h[i].id.Less(h[j].id)
 }
 func (h candHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *candHeap) Push(x any)   { *h = append(*h, x.(candidate)) }

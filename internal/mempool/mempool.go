@@ -246,16 +246,7 @@ func (p *Pool) Entries() []*Entry {
 		if !out[i].FirstSeen.Equal(out[j].FirstSeen) {
 			return out[i].FirstSeen.Before(out[j].FirstSeen)
 		}
-		return lessID(out[i].Tx.ID, out[j].Tx.ID)
+		return out[i].Tx.ID.Less(out[j].Tx.ID)
 	})
 	return out
-}
-
-func lessID(a, b chain.TxID) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }

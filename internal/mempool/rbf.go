@@ -115,7 +115,7 @@ func (p *Pool) EvictToSize(maxVSize int64) []*chain.Tx {
 		if ri != rj {
 			return ri < rj
 		}
-		return lessID(order[i].Tx.ID, order[j].Tx.ID)
+		return order[i].Tx.ID.Less(order[j].Tx.ID)
 	})
 	var evicted []*chain.Tx
 	for _, victim := range order {

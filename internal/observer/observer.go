@@ -153,7 +153,8 @@ type Stats struct {
 	Snapshots int
 	Batches   int
 	// Ship holds one emit-to-ack duration per flushed batch, in flush order —
-	// the raw series behind the observer lag percentiles chainbench reports.
+	// the raw series behind the p50/p99 ship latencies String reports;
+	// perfbench's live workloads time the same span as ack_p50_ms.
 	Ship []time.Duration
 }
 

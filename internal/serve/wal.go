@@ -124,7 +124,9 @@ type setWAL struct {
 	broken bool
 }
 
-// openWAL opens (creating if needed) the named set's log for appends.
+// openWAL opens (creating if needed) the named set's log for appends. Under
+// every policy but off it syncs the stream directory, so a log the open
+// created keeps its directory entry across a power loss.
 func (s *Server) openWAL(name string) (*setWAL, error) {
 	w := &setWAL{
 		name:    name,
@@ -147,6 +149,10 @@ func (s *Server) openWAL(name string) (*setWAL, error) {
 	if _, err := f.Seek(0, 2); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("serve: wal %s: %w", name, err)
+	}
+	if err := w.syncDir(); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("serve: wal %s: directory sync: %w", name, err)
 	}
 	w.f = f
 	return w, nil
@@ -209,6 +215,24 @@ func (w *setWAL) sync() error {
 	return nil
 }
 
+// syncDir fsyncs the stream directory, persisting the entries that creating
+// the log and renaming a checkpoint in changed. A no-op under policy off.
+func (w *setWAL) syncDir() error {
+	if w.policy == fsyncOff {
+		return nil
+	}
+	d, err := os.Open(filepath.Dir(w.walPath))
+	if err != nil {
+		return err
+	}
+	defer d.Close() // opened only to sync; nothing written through it
+	if err := d.Sync(); err != nil {
+		return err
+	}
+	mWALFsyncs.Inc()
+	return nil
+}
+
 // due reports whether enough batches accumulated to warrant a checkpoint.
 func (w *setWAL) due() bool { return w.lines >= w.every }
 
@@ -218,7 +242,9 @@ func (w *setWAL) due() bool { return w.lines >= w.every }
 // are truncated away, (3) the checkpoint is rewritten with zero covered
 // lines. Recovery skips min(covered, present) lines, which is exact in
 // every crash window — and appends only resume after step 3, so a growing
-// WAL always pairs with a zero-coverage checkpoint.
+// WAL always pairs with a zero-coverage checkpoint. Unless the policy is
+// off, the truncate is synced before step 3 publishes, so the zero-coverage
+// checkpoint never lands beside covered lines the truncate did not persist.
 func (w *setWAL) writeCheckpoint(ck *walCheckpoint) error {
 	if w.broken {
 		return fmt.Errorf("wal %s: broken; checkpoint refused", w.name)
@@ -238,6 +264,11 @@ func (w *setWAL) writeCheckpoint(ck *walCheckpoint) error {
 	if _, err := w.f.Seek(0, 0); err != nil {
 		return fmt.Errorf("wal %s: rewind: %w", w.name, err)
 	}
+	if w.policy != fsyncOff {
+		if err := w.sync(); err != nil {
+			return fmt.Errorf("wal %s: truncate fsync: %w", w.name, err)
+		}
+	}
 	w.lines = 0
 	w.unsynced = 0
 	ck.WALLines = 0
@@ -249,7 +280,8 @@ func (w *setWAL) writeCheckpoint(ck *walCheckpoint) error {
 }
 
 // persistCheckpoint writes the checkpoint file atomically (tmp + fsync +
-// rename), so a crash never leaves a half-written checkpoint behind.
+// rename + directory fsync), so a crash never leaves a half-written
+// checkpoint behind and a synced rename survives a power loss.
 func (w *setWAL) persistCheckpoint(ck *walCheckpoint) error {
 	raw, err := json.Marshal(ck)
 	if err != nil {
@@ -276,6 +308,9 @@ func (w *setWAL) persistCheckpoint(ck *walCheckpoint) error {
 	}
 	if err := os.Rename(tmp, w.ckPath); err != nil {
 		return fmt.Errorf("wal %s: checkpoint rename: %w", w.name, err)
+	}
+	if err := w.syncDir(); err != nil {
+		return fmt.Errorf("wal %s: checkpoint directory sync: %w", w.name, err)
 	}
 	return nil
 }
