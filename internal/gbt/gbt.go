@@ -34,7 +34,9 @@ type Policy interface {
 	// Name identifies the policy in reports and benches.
 	Name() string
 	// Build selects transactions from the entries (a mempool view) into a
-	// template not exceeding maxVSize virtual bytes.
+	// template not exceeding maxVSize virtual bytes. The template must be a
+	// function of the entry set: the simulator hands miners an unsorted
+	// view, so an order-dependent policy would make runs irreproducible.
 	Build(entries []*mempool.Entry, maxVSize int64) Template
 }
 
@@ -47,7 +49,6 @@ type node struct {
 	blockedBy int
 	children  []*node
 	excluded  bool
-	heapIndex int // -1 when not queued
 }
 
 // scoreHeap is a max-heap over ready nodes keyed by score (ties broken by
@@ -61,37 +62,28 @@ func (h scoreHeap) Less(i, j int) bool {
 	}
 	return h[i].tieBreak.Less(h[j].tieBreak)
 }
-func (h scoreHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIndex = i
-	h[j].heapIndex = j
-}
-func (h *scoreHeap) Push(x any) {
-	n := x.(*node)
-	n.heapIndex = len(*h)
-	*h = append(*h, n)
-}
+func (h scoreHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *scoreHeap) Push(x any)   { *h = append(*h, x.(*node)) }
 func (h *scoreHeap) Pop() any {
 	old := *h
 	n := old[len(old)-1]
-	n.heapIndex = -1
 	*h = old[:len(old)-1]
 	return n
 }
 
 // buildGraph constructs scheduling nodes for all entries with the given
 // scoring function.
-func buildGraph(entries []*mempool.Entry, score func(*mempool.Entry) float64) []*node {
-	byID := make(map[chain.TxID]*node, len(entries))
-	nodes := make([]*node, 0, len(entries))
-	for _, e := range entries {
-		n := &node{entry: e, score: score(e), tieBreak: e.Tx.ID, heapIndex: -1}
-		byID[e.Tx.ID] = n
-		nodes = append(nodes, n)
+func buildGraph(entries []*mempool.Entry, score func(*mempool.Entry) float64) []node {
+	nodes := make([]node, len(entries))
+	byEntry := make(map[*mempool.Entry]*node, len(entries))
+	for i, e := range entries {
+		nodes[i] = node{entry: e, score: score(e), tieBreak: e.Tx.ID}
+		byEntry[e] = &nodes[i]
 	}
-	for _, n := range nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		for _, p := range n.entry.Parents() {
-			if pn := byID[p.Tx.ID]; pn != nil {
+			if pn := byEntry[p]; pn != nil {
 				pn.children = append(pn.children, n)
 				n.blockedBy++
 			}
@@ -100,17 +92,35 @@ func buildGraph(entries []*mempool.Entry, score func(*mempool.Entry) float64) []
 	return nodes
 }
 
+// minVSize returns the smallest transaction vsize among the entries, or 0
+// when there are none. Once the room left in a template is below it,
+// nothing more can fit: every greedy step places one transaction, and every
+// ancestor package is at least as large as its own transaction.
+func minVSize(entries []*mempool.Entry) int64 {
+	var least int64
+	for i, e := range entries {
+		if i == 0 || e.Tx.VSize < least {
+			least = e.Tx.VSize
+		}
+	}
+	return least
+}
+
 // greedyBuild runs Kahn's algorithm with a max-heap: the highest-scoring
 // dependency-free transaction is taken next, so the resulting order is the
 // policy's ranking subject to parents-before-children. Transactions that do
-// not fit are excluded together with their descendants.
-func greedyBuild(nodes []*node, maxVSize int64) Template {
+// not fit are excluded together with their descendants. The heap orders by
+// (score, ID), a total order, so the template is a function of the entry
+// set, not of the entries' order; the build stops as soon as no transaction
+// could fit in the room left (see minVSize).
+func greedyBuild(nodes []node, maxVSize, least int64) Template {
 	var h scoreHeap
-	for _, n := range nodes {
-		if n.blockedBy == 0 {
-			heap.Push(&h, n)
+	for i := range nodes {
+		if nodes[i].blockedBy == 0 {
+			h = append(h, &nodes[i])
 		}
 	}
+	heap.Init(&h)
 	var t Template
 	var exclude func(*node)
 	exclude = func(n *node) {
@@ -122,7 +132,7 @@ func greedyBuild(nodes []*node, maxVSize int64) Template {
 			exclude(c)
 		}
 	}
-	for h.Len() > 0 {
+	for h.Len() > 0 && maxVSize-t.VSize >= least {
 		n := heap.Pop(&h).(*node)
 		if n.excluded {
 			continue
@@ -155,7 +165,7 @@ func greedyBuild(nodes []*node, maxVSize int64) Template {
 // in-pool parents are already placed goes next. It is the extension point
 // custom prioritization norms (package norms) plug into.
 func BuildWithScore(entries []*mempool.Entry, maxVSize int64, score func(*mempool.Entry) float64) Template {
-	return greedyBuild(buildGraph(entries, score), maxVSize)
+	return greedyBuild(buildGraph(entries, score), maxVSize, minVSize(entries))
 }
 
 // FeeRate is the paper's norm: greedy selection and ordering by raw
@@ -167,10 +177,9 @@ func (FeeRate) Name() string { return "feerate" }
 
 // Build implements Policy.
 func (FeeRate) Build(entries []*mempool.Entry, maxVSize int64) Template {
-	nodes := buildGraph(entries, func(e *mempool.Entry) float64 {
+	return BuildWithScore(entries, maxVSize, func(e *mempool.Entry) float64 {
 		return float64(e.Tx.FeeRate())
 	})
-	return greedyBuild(nodes, maxVSize)
 }
 
 // Priority is the legacy pre-April-2016 ordering: coin-age priority
@@ -185,10 +194,9 @@ func (Priority) Name() string { return "priority" }
 
 // Build implements Policy.
 func (Priority) Build(entries []*mempool.Entry, maxVSize int64) Template {
-	nodes := buildGraph(entries, func(e *mempool.Entry) float64 {
+	return BuildWithScore(entries, maxVSize, func(e *mempool.Entry) float64 {
 		return PriorityScore(e.Tx)
 	})
-	return greedyBuild(nodes, maxVSize)
 }
 
 // PriorityScore computes the legacy coin-age priority of a transaction.
@@ -226,74 +234,36 @@ type AncestorScore struct{}
 func (AncestorScore) Name() string { return "ancestorscore" }
 
 // Build implements Policy.
+//
+// Candidates are queued once, then lazily: a popped candidate whose package
+// has shrunk since it was queued (an ancestor was selected meanwhile) is
+// re-queued with its fresh score, and only the children of newly selected
+// members are re-queued eagerly. The template depends on exactly that rule.
 func (AncestorScore) Build(entries []*mempool.Entry, maxVSize int64) Template {
-	type pkgNode struct {
-		entry    *mempool.Entry
-		selected bool
-		excluded bool
-	}
-	byID := make(map[chain.TxID]*pkgNode, len(entries))
-	for _, e := range entries {
-		byID[e.Tx.ID] = &pkgNode{entry: e}
-	}
-	// package computes the unselected ancestor closure including self,
-	// returning members in parents-first order.
-	pack := func(n *pkgNode) (members []*pkgNode, fee chain.Amount, vsize int64, ok bool) {
-		seen := map[chain.TxID]bool{}
-		var visit func(*pkgNode) bool
-		visit = func(cur *pkgNode) bool {
-			if cur.excluded {
-				return false
-			}
-			if cur.selected || seen[cur.entry.Tx.ID] {
-				return true
-			}
-			seen[cur.entry.Tx.ID] = true
-			for _, p := range cur.entry.Parents() {
-				pn := byID[p.Tx.ID]
-				if pn == nil {
-					continue
-				}
-				if !visit(pn) {
-					return false
-				}
-			}
-			members = append(members, cur)
-			fee += cur.entry.Tx.Fee
-			vsize += cur.entry.Tx.VSize
-			return true
+	b := newPackBuilder(entries)
+	h := make(candHeap, 0, len(entries))
+	for i := range b.nodes {
+		if c, ok := b.candidate(&b.nodes[i]); ok {
+			h = append(h, c)
 		}
-		if !visit(n) {
-			return nil, 0, 0, false
-		}
-		return members, fee, vsize, true
 	}
-
-	// Lazy max-heap over candidate scores; staleness is detected by
-	// recomputing the package on pop.
-	h := &candHeap{}
+	heap.Init(&h)
 	pushCand := func(n *pkgNode) {
-		if n.selected || n.excluded {
-			return
+		if c, ok := b.candidate(n); ok {
+			heap.Push(&h, c)
 		}
-		_, fee, vsize, ok := pack(n)
-		if !ok || vsize == 0 {
-			return
-		}
-		heap.Push(h, candidate{node: n, score: float64(fee) / float64(vsize), id: n.entry.Tx.ID})
-	}
-	for _, e := range entries {
-		pushCand(byID[e.Tx.ID])
 	}
 
+	least := minVSize(entries)
 	var t Template
-	for h.Len() > 0 {
-		c := heap.Pop(h).(candidate)
-		n := c.node.(*pkgNode)
+	var selected []*pkgNode
+	for h.Len() > 0 && maxVSize-t.VSize >= least {
+		c := heap.Pop(&h).(candidate)
+		n := c.node
 		if n.selected || n.excluded {
 			continue
 		}
-		members, fee, vsize, ok := pack(n)
+		fee, vsize, ok := b.pack(n)
 		if !ok {
 			continue
 		}
@@ -301,7 +271,7 @@ func (AncestorScore) Build(entries []*mempool.Entry, maxVSize int64) Template {
 		// the fresh score.
 		fresh := float64(fee) / float64(vsize)
 		if fresh != c.score {
-			heap.Push(h, candidate{node: n, score: fresh, id: c.id})
+			heap.Push(&h, candidate{node: n, score: fresh, id: c.id})
 			continue
 		}
 		if t.VSize+vsize > maxVSize {
@@ -310,7 +280,8 @@ func (AncestorScore) Build(entries []*mempool.Entry, maxVSize int64) Template {
 			n.excluded = true
 			continue
 		}
-		for _, m := range members {
+		selected = append(selected[:0], b.members...)
+		for _, m := range selected {
 			m.selected = true
 			t.Txs = append(t.Txs, m.entry.Tx)
 			t.TotalFee += m.entry.Tx.Fee
@@ -318,9 +289,9 @@ func (AncestorScore) Build(entries []*mempool.Entry, maxVSize int64) Template {
 		}
 		// Descendants of newly selected members now have smaller packages
 		// and therefore different (usually higher) scores; re-queue them.
-		for _, m := range members {
+		for _, m := range selected {
 			for _, ch := range m.entry.Children() {
-				if cn := byID[ch.Tx.ID]; cn != nil {
+				if cn := b.byEntry[ch]; cn != nil {
 					pushCand(cn)
 				}
 			}
@@ -329,15 +300,125 @@ func (AncestorScore) Build(entries []*mempool.Entry, maxVSize int64) Template {
 	return t
 }
 
-// candidate is one ancestor-score heap element. The node is held as an
-// opaque pointer because the pkgNode type is local to Build.
+// pkgNode is one entry's ancestor-score state.
+type pkgNode struct {
+	entry *mempool.Entry
+	// parents are the node's in-pool parents among the entries given, in
+	// the entry's Parents order.
+	parents  []*pkgNode
+	selected bool
+	excluded bool
+	// visited is the pack generation that last reached the node.
+	visited uint64
+}
+
+// packBuilder holds one AncestorScore build's nodes and the scratch state
+// its package walks reuse.
+type packBuilder struct {
+	nodes []pkgNode
+	// byEntry finds an entry's node. It is keyed by the pool's entry
+	// pointers, which Parents and Children return, since hashing a pointer
+	// costs a fraction of hashing a TxID.
+	byEntry map[*mempool.Entry]*pkgNode
+	// gen numbers pack calls; a node whose visited equals gen is already a
+	// member of the package being walked.
+	gen uint64
+	// members is the last pack's package, parents first. Each pack
+	// overwrites it.
+	members []*pkgNode
+}
+
+func newPackBuilder(entries []*mempool.Entry) *packBuilder {
+	b := &packBuilder{
+		nodes:   make([]pkgNode, len(entries)),
+		byEntry: make(map[*mempool.Entry]*pkgNode, len(entries)),
+	}
+	for i, e := range entries {
+		b.nodes[i].entry = e
+		b.byEntry[e] = &b.nodes[i]
+	}
+	for i := range b.nodes {
+		n := &b.nodes[i]
+		for _, p := range n.entry.Parents() {
+			if pn := b.byEntry[p]; pn != nil {
+				n.parents = append(n.parents, pn)
+			}
+		}
+	}
+	return b
+}
+
+// candidate scores n's current package for the heap. It reports false for
+// a selected or excluded node, and for a package that is blocked by an
+// excluded ancestor or has no size.
+func (b *packBuilder) candidate(n *pkgNode) (candidate, bool) {
+	if n.selected || n.excluded {
+		return candidate{}, false
+	}
+	var fee chain.Amount
+	var vsize int64
+	if len(n.parents) == 0 {
+		// A root's package is itself: skip the walk.
+		fee, vsize = n.entry.Tx.Fee, n.entry.Tx.VSize
+	} else {
+		var ok bool
+		if fee, vsize, ok = b.pack(n); !ok {
+			return candidate{}, false
+		}
+	}
+	if vsize == 0 {
+		return candidate{}, false
+	}
+	return candidate{node: n, score: float64(fee) / float64(vsize), id: n.entry.Tx.ID}, true
+}
+
+// pack computes n's unselected ancestor closure including n into
+// b.members, parents first, and returns its fee and vsize. It reports
+// false when an excluded ancestor blocks the package.
+func (b *packBuilder) pack(n *pkgNode) (fee chain.Amount, vsize int64, ok bool) {
+	b.gen++
+	b.members = b.members[:0]
+	if !b.visit(n) {
+		return 0, 0, false
+	}
+	for _, m := range b.members {
+		fee += m.entry.Tx.Fee
+		vsize += m.entry.Tx.VSize
+	}
+	return fee, vsize, true
+}
+
+// visit appends cur's unvisited, unselected ancestors and then cur itself
+// to b.members. It reports false when it reaches an excluded node.
+func (b *packBuilder) visit(cur *pkgNode) bool {
+	if cur.excluded {
+		return false
+	}
+	if cur.selected || cur.visited == b.gen {
+		return true
+	}
+	cur.visited = b.gen
+	for _, p := range cur.parents {
+		if !b.visit(p) {
+			return false
+		}
+	}
+	b.members = append(b.members, cur)
+	return true
+}
+
+// candidate is one ancestor-score heap element. A node may be queued more
+// than once, under different scores; the pop-time staleness check discards
+// all but the current one.
 type candidate struct {
-	node  any
+	node  *pkgNode
 	score float64
 	id    chain.TxID
 }
 
-// candHeap is a max-heap of ancestor-score candidates.
+// candHeap is a max-heap of ancestor-score candidates ordered by (score,
+// ID), a total order: the build's pops, and so its template, do not depend
+// on the entries' order.
 type candHeap []candidate
 
 func (h candHeap) Len() int { return len(h) }

@@ -24,6 +24,9 @@ var deterministicPkgs = []string{
 	// internal/stream holds the one apply rule every ingest path runs; it
 	// reads time only through the clock its caller injects.
 	"stream",
+	// Block templates decide every simulated block: the template policies,
+	// the miners' behaviours and the alternative norms.
+	"gbt", "miner", "norms",
 }
 
 // Analyzers returns the full analyzer suite in its canonical order: the

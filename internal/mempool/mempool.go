@@ -235,6 +235,19 @@ func (p *Pool) TopFeeRate() chain.SatPerVByte {
 	return top
 }
 
+// Unsorted returns all pending entries in map order, which differs from
+// call to call. It is for callers whose result is a function of the entry
+// set, such as every gbt template policy; it skips the sort Entries pays
+// for a deterministic order. The entries are shared with the pool.
+func (p *Pool) Unsorted() []*Entry {
+	out := make([]*Entry, 0, len(p.entries))
+	//lint:allow maporder the order is the caller's to ignore: template policies order by (score, TxID), a total order, and TestTemplatesMatchOracle (internal/gbt) and TestBuildBlockIgnoresEntryOrder (internal/miner) hold their output equal under shuffled entries
+	for _, e := range p.entries {
+		out = append(out, e)
+	}
+	return out
+}
+
 // Entries returns all pending entries in deterministic order (by first-seen
 // time, ties broken by ID). The entries are shared with the pool.
 func (p *Pool) Entries() []*Entry {

@@ -114,6 +114,7 @@ func Characterize(norm string, c *chain.Chain, seen map[chain.TxID]int64) Charac
 		rate  float64
 	}
 	var all []obs
+	//lint:allow maporder order-free: every statistic drawn from all is a percentile over a sorted copy or a count, so iteration order never reaches the result (TestCharacterizeIgnoresSeenOrder)
 	for id, tip := range seen {
 		d, ok := c.ConfirmDelayBlocks(id, tip)
 		if !ok {

@@ -185,3 +185,46 @@ func TestStarvationHorizonCounts(t *testing.T) {
 		t.Error("starved-but-confirmed must still count as confirmed")
 	}
 }
+
+// TestCharacterizeIgnoresSeenOrder shows Characterize is a function of its
+// seen map's contents: Go randomizes each range over a map, and every
+// repeat over the same map, fee-rate ties and unconfirmed entries included,
+// gives the same characterization, because each percentile is taken over a
+// sorted copy.
+func TestCharacterizeIgnoresSeenOrder(t *testing.T) {
+	c := chain.New()
+	seen := map[chain.TxID]int64{{0xEE}: 3, {0xEF}: 7}
+	nonce := uint16(0)
+	for h := int64(0); h < 12; h++ {
+		var body []*chain.Tx
+		var fees chain.Amount
+		for i := int64(0); i < h%4+1; i++ {
+			nonce++
+			tx := mkTx(float64(1+(h*i)%5), chain.BTC, nonce)
+			body = append(body, tx)
+			fees += tx.Fee
+			seen[tx.ID] = max(0, h-i-1)
+		}
+		cb := &chain.Tx{
+			VSize:       120,
+			Time:        baseTime.Add(time.Duration(h) * 10 * time.Minute),
+			Outputs:     []chain.TxOut{{Address: "p", Value: chain.Subsidy(h) + fees}},
+			CoinbaseTag: "/P/",
+		}
+		cb.ComputeID()
+		b := &chain.Block{Height: h, Time: cb.Time, Txs: append([]*chain.Tx{cb}, body...)}
+		b.ComputeHash([32]byte{})
+		if err := c.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := Characterize("order", c, seen)
+	if want.Confirmed < 20 || want.Starved != 2 {
+		t.Fatalf("fixture too small to exercise ordering: %+v", want)
+	}
+	for i := 0; i < 50; i++ {
+		if got := Characterize("order", c, seen); got != want {
+			t.Fatalf("repeat %d: %+v, first run %+v", i, got, want)
+		}
+	}
+}
