@@ -394,6 +394,47 @@ func TestRelayedTxStampedWithNodeClock(t *testing.T) {
 	}
 }
 
+// TestConcurrentDuplicateReadsClockOnce delivers one transaction from
+// several peers at once. Only the delivery that pools it may read the node
+// clock: the clock lingers after each reading, long enough for a second
+// delivery that passed its duplicate check to read it too, so a gap between
+// the check and the stamp shows as a second reading.
+func TestConcurrentDuplicateReadsClockOnce(t *testing.T) {
+	n := NewNode("B", 1)
+	defer n.Close()
+	var mu sync.Mutex
+	reads := 0
+	n.SetClock(func() time.Time {
+		mu.Lock()
+		reads++
+		mu.Unlock()
+		time.Sleep(20 * time.Millisecond)
+		return baseTime
+	})
+	tx := mkTx(5000, 250, 300)
+	const peers = 4
+	var wg sync.WaitGroup
+	accepted := make(chan error, peers)
+	for i := 0; i < peers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			accepted <- n.acceptTx(tx, n.nowLocked)
+		}()
+	}
+	wg.Wait()
+	close(accepted)
+	pooled := 0
+	for err := range accepted {
+		if err == nil {
+			pooled++
+		}
+	}
+	if pooled != 1 || reads != 1 {
+		t.Fatalf("%d deliveries pooled the tx and the clock was read %d times, want 1 and 1", pooled, reads)
+	}
+}
+
 func TestNodeCloseIsIdempotentAndRefusesNewConns(t *testing.T) {
 	n := NewNode("X", 1)
 	m := NewNode("Y", 1)
