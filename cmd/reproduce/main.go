@@ -50,7 +50,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"chainaudit/internal/experiments"
@@ -178,22 +177,10 @@ func run(args []string, out io.Writer) error {
 	if len(picked) == 0 {
 		return fmt.Errorf("no experiment matched %q", *expFlag)
 	}
-	// Per-experiment wall times for the manifest, stored atomically: an
-	// attempt abandoned by the watchdog may report late, concurrently with
-	// its retry. Timing observes the runs without altering them, so stdout
-	// stays byte-identical across modes.
-	expWall := make([]atomic.Int64, len(picked))
-	timed := func(i int, w io.Writer) error {
-		t0 := time.Now()
-		err := picked[i].Run(suite, experiments.NewTextSink(w, *asCSV))
-		expWall[i].Store(int64(time.Since(t0)))
-		return err
-	}
-
 	// Serial and parallel share one path: every experiment renders into its
-	// own buffer under the cancellation/watchdog/retry layer, and buffers are
-	// emitted in selection order — byte-identical either way. -parallel only
-	// picks the worker count.
+	// own buffer under the watchdog, and bodies are emitted in selection
+	// order — byte-identical either way. -parallel only picks the worker
+	// count.
 	exec := pipeline.Default()
 	if !*par {
 		exec = pipeline.New(1)
@@ -210,43 +197,50 @@ func run(args []string, out io.Writer) error {
 			fmt.Sprintf("chaos=%s", plan.Fingerprint()),
 		))
 	}
-	bufs := make([]bytes.Buffer, len(picked))
+	bodies := make([]string, len(picked))
 	resumed := make([]bool, len(picked))
 	if cp != nil {
 		for i, s := range picked {
-			if body, ok := cp.Completed[s.ID]; ok {
-				bufs[i].WriteString(body)
-				resumed[i] = true
-			}
+			bodies[i], resumed[i] = cp.Completed[s.ID]
 		}
 	}
-	rc := pipeline.RunConfig{Timeout: *watchdog}
-	results, batchErr := pipeline.MapCtx(exec, context.Background(), len(picked), rc,
-		func(ctx context.Context, i int) (struct{}, error) {
-			if resumed[i] {
-				return struct{}{}, nil
-			}
-			// Render into a task-local buffer: a watchdog-abandoned task
-			// keeps writing after the executor has moved on.
-			var local bytes.Buffer
-			if err := timed(i, &local); err != nil {
-				return struct{}{}, err
-			}
-			bufs[i] = local
-			if cp != nil {
-				return struct{}{}, cp.record(*checkpointPath, picked[i].ID, bufs[i].String())
-			}
-			return struct{}{}, nil
+	// Per-experiment wall times for the manifest. Timing observes the runs
+	// without altering them, so stdout stays byte-identical across modes.
+	expWall := make([]time.Duration, len(picked))
+	type rendered struct {
+		body string
+		wall time.Duration
+	}
+	errs, batchErr := exec.EachCtx(context.Background(), len(picked), func(ctx context.Context, i int) error {
+		if resumed[i] {
+			return nil
+		}
+		// The render returns its own buffer's bytes: a watchdog-abandoned
+		// render keeps writing after Bounded has moved on.
+		r, err := pipeline.Bounded(ctx, *watchdog, func(context.Context) (rendered, error) {
+			var b bytes.Buffer
+			t0 := time.Now()
+			err := picked[i].Run(suite, experiments.NewTextSink(&b, *asCSV))
+			return rendered{b.String(), time.Since(t0)}, err
 		})
+		if err != nil {
+			return err
+		}
+		bodies[i], expWall[i] = r.body, r.wall
+		if cp != nil {
+			return cp.record(*checkpointPath, picked[i].ID, r.body)
+		}
+		return nil
+	})
 	if batchErr != nil {
 		return batchErr
 	}
-	for i, r := range results {
-		if r.Err != nil {
-			return fmt.Errorf("%s: %w", picked[i].ID, r.Err)
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("%s: %w", picked[i].ID, err)
 		}
 		fmt.Fprintf(out, "### %s\n", picked[i].ID)
-		if _, err := bufs[i].WriteTo(out); err != nil {
+		if _, err := io.WriteString(out, bodies[i]); err != nil {
 			return err
 		}
 	}
@@ -269,7 +263,7 @@ func run(args []string, out io.Writer) error {
 		for i, s := range picked {
 			m.Experiments = append(m.Experiments, obs.ExperimentTiming{
 				ID:     s.ID,
-				WallMS: float64(expWall[i].Load()) / float64(time.Millisecond),
+				WallMS: float64(expWall[i]) / float64(time.Millisecond),
 			})
 		}
 		m.FillFromSnapshot(obs.Default.Snapshot())

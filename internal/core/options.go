@@ -181,7 +181,7 @@ func (a *Auditor) AuditSelfInterest(opts AuditOptions) (SelfInterestReport, erro
 func (a *Auditor) AuditScam(set map[chain.TxID]bool, opts AuditOptions) ([]DifferentialResult, error) {
 	s := a.span()
 	pools := s.topPools(opts.minShare())
-	results, batchErr := pipeline.MapCtx(pipeline.Default(), opts.ctx(), len(pools), pipeline.RunConfig{},
+	results, batchErr := pipeline.MapCtx(pipeline.Default(), opts.ctx(), len(pools),
 		func(ctx context.Context, i int) (DifferentialResult, error) {
 			return s.differentialTest(pools[i], set)
 		})
@@ -319,7 +319,7 @@ func (a *Auditor) SelfInterestGrid(sets map[string]map[chain.TxID]bool, opts Aud
 			combos = append(combos, combo{owner: owner, tester: tester})
 		}
 	}
-	results, batchErr := pipeline.MapCtx(pipeline.Default(), opts.ctx(), len(combos), pipeline.RunConfig{},
+	results, batchErr := pipeline.MapCtx(pipeline.Default(), opts.ctx(), len(combos),
 		func(ctx context.Context, i int) (DifferentialResult, error) {
 			return s.differentialTest(combos[i].tester, sets[combos[i].owner])
 		})

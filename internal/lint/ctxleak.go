@@ -9,9 +9,8 @@ import (
 // it: no select on ctx.Done(), no ctx.Err() polling, and no delegation of
 // the context to a callee. Such a goroutine looks cancellable but runs to
 // completion after its request dies — in the pipeline and the audit service
-// that means watchdog-abandoned work silently pinning workers (the exact
-// shape of the abandoned-goroutine race MapCtx's atomic publication fixed
-// in PR 4).
+// that means watchdog-abandoned work silently pinning workers (which is why
+// pipeline.Bounded cancels the context of a call it abandons).
 var CtxLeak = &Analyzer{
 	Name:    "ctxleak",
 	Doc:     "goroutines capturing a context but never selecting on ctx.Done()/checking ctx.Err() outlive cancellation",

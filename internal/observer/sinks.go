@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"chainaudit/internal/chain"
 	"chainaudit/internal/faults"
 	"chainaudit/internal/serve"
 	"chainaudit/internal/stats"
@@ -19,9 +18,11 @@ import (
 )
 
 // IndexSink applies batches in process to a streaming set through the
-// set's one apply path, stream.Set.Apply — the path chainauditd's ingest
-// and WAL recovery take — so an in-process run and an HTTP run over the
-// same event stream land on identical audit state and fingerprint. Several
+// set's one apply path, stream.Set.Apply, and serve's one decoder,
+// serve.DecodeBatch — the path chainauditd's ingest and WAL recovery take —
+// so an in-process run and an HTTP run over the same event stream land on
+// identical audit state and fingerprint. Decoding builds fresh blocks, so
+// the set never shares a block with the source that produced it. Several
 // sinks may share one set, one per observation source: each trims the
 // blocks the set already holds, under the set's lock, which is the
 // in-process form of HTTPSink's covered trim. A single sink never trims,
@@ -41,40 +42,19 @@ func (s *IndexSink) Apply(ctx context.Context, b *Batch) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	sb := stream.Batch{Source: s.Source, Snapshots: make([]stream.Snapshot, len(b.Snapshots))}
-	for i, sn := range b.Snapshots {
-		seen := make([]stream.Seen, len(sn.Seen))
-		for j, ev := range sn.Seen {
-			seen[j] = stream.Seen{ID: ev.TxID, At: ev.At}
-		}
-		sb.Snapshots[i] = stream.Snapshot{Time: sn.Time, TipHeight: sn.TipHeight, Count: len(sn.Seen), Seen: seen}
-	}
+	req := b.Request("")
+	req.Source = s.Source
 	s.Set.Lock()
 	defer s.Set.Unlock()
-	covered, _, ok := s.Set.Watermark()
-	for _, blk := range b.Blocks {
-		if !ok || blk.Height > covered {
-			sb.Blocks = append(sb.Blocks, ownBlock(blk))
-		}
+	if covered, _, ok := s.Set.Watermark(); ok {
+		trimBlocks(&req, covered)
 	}
-	_, err := s.Set.Apply(&sb)
+	sb, err := serve.DecodeBatch(&req)
+	if err != nil {
+		return err
+	}
+	_, err = s.Set.Apply(sb)
 	return err
-}
-
-// ownBlock copies blk down to each transaction's inputs — the part a
-// loose appender (dataset.AppendLoose) rebalances in place. A batch shares
-// its blocks with the source that produced them: a NodeSource's node keeps
-// encoding the same *chain.Block for its peers, and a ChainSource's blocks
-// belong to the source chain. Outputs are never written and stay shared.
-func ownBlock(blk *chain.Block) *chain.Block {
-	cp := *blk
-	cp.Txs = make([]*chain.Tx, len(blk.Txs))
-	for i, tx := range blk.Txs {
-		t := *tx
-		t.Inputs = append([]chain.TxIn(nil), tx.Inputs...)
-		cp.Txs[i] = &t
-	}
-	return &cp
 }
 
 // HTTPSink ships batches to a running chainauditd's POST /v1/ingest with

@@ -13,7 +13,7 @@ import (
 
 func TestEachCtxRunsAll(t *testing.T) {
 	var ran atomic.Int64
-	errs, err := New(4).EachCtx(context.Background(), 100, RunConfig{}, func(ctx context.Context, i int) error {
+	errs, err := New(4).EachCtx(context.Background(), 100, func(ctx context.Context, i int) error {
 		ran.Add(1)
 		return nil
 	})
@@ -39,7 +39,7 @@ func TestEachCtxCancelMidBatch(t *testing.T) {
 	release := make(chan struct{})
 	var started atomic.Int64
 	const n = 64
-	errs, err := New(4).EachCtx(ctx, n, RunConfig{}, func(ctx context.Context, i int) error {
+	errs, err := New(4).EachCtx(ctx, n, func(ctx context.Context, i int) error {
 		if started.Add(1) == 4 {
 			cancel() // all four workers are mid-task; cancel while the queue is deep
 			close(release)
@@ -96,7 +96,7 @@ func TestEachCtxCancelSkipsUnclaimed(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before any task is claimed
 	var ran atomic.Int64
-	errs, err := New(4).EachCtx(ctx, 10, RunConfig{}, func(ctx context.Context, i int) error {
+	errs, err := New(4).EachCtx(ctx, 10, func(ctx context.Context, i int) error {
 		ran.Add(1)
 		return nil
 	})
@@ -113,35 +113,60 @@ func TestEachCtxCancelSkipsUnclaimed(t *testing.T) {
 	}
 }
 
-func TestRunConfigWatchdog(t *testing.T) {
-	hung := make(chan struct{})
-	defer close(hung)
-	start := time.Now()
-	errs, err := New(2).EachCtx(context.Background(), 3, RunConfig{Timeout: 50 * time.Millisecond}, func(ctx context.Context, i int) error {
-		if i == 1 {
+// TestBounded covers the one watchdog: a hung call is abandoned with
+// ErrWatchdog, a cancelled parent reports its own error rather than the
+// watchdog's, and a panic comes back as an error.
+func TestBounded(t *testing.T) {
+	t.Run("hung", func(t *testing.T) {
+		hung := make(chan struct{})
+		defer close(hung)
+		start := time.Now()
+		_, err := Bounded(context.Background(), 50*time.Millisecond, func(ctx context.Context) (int, error) {
 			<-hung // simulated hang: never returns on its own
+			return 1, nil
+		})
+		if !errors.Is(err, ErrWatchdog) {
+			t.Fatalf("hung call error = %v, want ErrWatchdog", err)
 		}
-		return nil
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("Bounded hung for %v despite its watchdog", elapsed)
+		}
 	})
-	if err != nil {
-		t.Fatalf("watchdog batch should complete, got batch error %v", err)
-	}
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("healthy tasks errored: %v / %v", errs[0], errs[2])
-	}
-	if !errors.Is(errs[1], ErrWatchdog) {
-		t.Fatalf("hung task error = %v, want ErrWatchdog", errs[1])
-	}
-	if !strings.Contains(errs[1].Error(), "task 1") {
-		t.Fatalf("watchdog error %q does not name the task", errs[1])
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("batch hung for %v despite watchdog", elapsed)
-	}
+	t.Run("parent cancelled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := Bounded(ctx, time.Minute, func(ctx context.Context) (int, error) {
+			cancel()
+			<-ctx.Done()
+			return 0, ctx.Err()
+		})
+		if !errors.Is(err, context.Canceled) || errors.Is(err, ErrWatchdog) {
+			t.Fatalf("cancelled parent error = %v, want context.Canceled and not ErrWatchdog", err)
+		}
+	})
+	t.Run("panic", func(t *testing.T) {
+		for _, timeout := range []time.Duration{0, time.Minute} {
+			_, err := Bounded(context.Background(), timeout, func(ctx context.Context) (int, error) {
+				panic("boom")
+			})
+			if err == nil || !strings.Contains(err.Error(), "panicked: boom") {
+				t.Fatalf("timeout %v: panic not converted to an error: %v", timeout, err)
+			}
+		}
+	})
+	t.Run("returns", func(t *testing.T) {
+		for _, timeout := range []time.Duration{0, time.Minute} {
+			v, err := Bounded(context.Background(), timeout, func(ctx context.Context) (string, error) {
+				return "ok", nil
+			})
+			if v != "ok" || err != nil {
+				t.Fatalf("timeout %v: Bounded = %q, %v", timeout, v, err)
+			}
+		}
+	})
 }
 
 func TestEachCtxPanicBecomesError(t *testing.T) {
-	errs, err := New(2).EachCtx(context.Background(), 4, RunConfig{}, func(ctx context.Context, i int) error {
+	errs, err := New(2).EachCtx(context.Background(), 4, func(ctx context.Context, i int) error {
 		if i == 2 {
 			panic("boom")
 		}
@@ -164,11 +189,11 @@ func TestMapCtxMatchesSerialOutput(t *testing.T) {
 	f := func(ctx context.Context, i int) (string, error) {
 		return fmt.Sprintf("v%03d", i), nil
 	}
-	serial, err := MapCtx(Serial(), context.Background(), 32, RunConfig{}, f)
+	serial, err := MapCtx(Serial(), context.Background(), 32, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MapCtx(New(8), context.Background(), 32, RunConfig{Timeout: time.Minute}, f)
+	par, err := MapCtx(New(8), context.Background(), 32, f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,11 +136,40 @@ func TestEachPanicMidStreamStillDrains(t *testing.T) {
 			ran.Add(1)
 		})
 	}()
-	// The panicking worker dies, the other three keep claiming; at minimum
-	// they drain everything already in flight. We only require forward
-	// progress and no deadlock, not an exact count.
+	// Only forward progress and no deadlock here; TestEachRunsEveryTaskAfterPanic
+	// holds the exact count.
 	if ran.Load() == 0 {
 		t.Fatal("no other task ran")
+	}
+}
+
+// TestEachRunsEveryTaskAfterPanic: an early panic stops no other task, and
+// the re-raised panic is the lowest panicking index's even when a higher
+// index panics first.
+func TestEachRunsEveryTaskAfterPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		const n = 200
+		var ran atomic.Int64
+		r := func() (r any) {
+			defer func() { r = recover() }()
+			New(workers).Each(n, func(i int) {
+				ran.Add(1)
+				switch i {
+				case 3:
+					time.Sleep(20 * time.Millisecond) // let the higher indices panic first
+					panic("boom-3")
+				case 150, 199:
+					panic(fmt.Sprintf("boom-%d", i))
+				}
+			})
+			return nil
+		}()
+		if ran.Load() != n {
+			t.Errorf("workers=%d: %d of %d tasks ran after an early panic", workers, ran.Load(), n)
+		}
+		if s := fmt.Sprint(r); !strings.Contains(s, "task 3 panicked: boom-3") {
+			t.Errorf("workers=%d: re-raised %q, want task 3's panic", workers, s)
+		}
 	}
 }
 

@@ -245,20 +245,6 @@ func (s *Server) timeout(q url.Values) (time.Duration, error) {
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
-// runBounded executes one computation under the request context and the
-// watchdog — through the same pipeline layer the batch reproduction uses. Each call runs on its own worker
-// goroutine, so an abandoned (timed-out) computation never wedges other
-// requests.
-func (s *Server) runBounded(ctx context.Context, timeout time.Duration, f func(ctx context.Context) (*payload, error)) (*payload, error) {
-	rc := pipeline.RunConfig{Timeout: timeout}
-	res, batchErr := pipeline.MapCtx(pipeline.Default(), ctx, 1, rc,
-		func(ctx context.Context, _ int) (*payload, error) { return f(ctx) })
-	if batchErr != nil {
-		return nil, batchErr
-	}
-	return res[0].Value, res[0].Err
-}
-
 // errStatus maps a computation error to an HTTP status: watchdog timeouts
 // are 504 (the request was sound, the bound was not), everything else 500.
 func errStatus(err error) int {
@@ -407,8 +393,8 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	env.Degraded = s.plan.Active()
 	key := obs.ConfigHash(s.suiteFP, "experiment="+name)
 	t := startTimer()
-	p, hit, err := s.cache.do(key, func() (*payload, error) {
-		return s.runBounded(r.Context(), wd, func(context.Context) (*payload, error) {
+	res, err := pipeline.Bounded(r.Context(), wd, func(context.Context) (cached, error) {
+		return s.cache.do(suiteCacheSet, key, func() (*payload, error) {
 			rec := &recSink{}
 			if err := d.Run(s.suite, rec); err != nil {
 				return nil, err
@@ -421,8 +407,8 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 		fail(w, errStatus(err), env, err)
 		return
 	}
-	env.Cached = hit
-	writeResult(w, fmtName, env, p)
+	env.Cached = res.hit
+	writeResult(w, fmtName, env, res.p)
 }
 
 // ---- POST /v1/audits/{kind} ----
@@ -648,62 +634,68 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusNotFound, env, err)
 		return
 	}
-	// Snapshot the set's provenance under its read lock: streaming sets
-	// rotate fingerprints on append, and the cache key must match the
-	// envelope. retained is the retained record count at that fingerprint.
-	set.mu.RLock()
-	fp, retained, _ := set.provenance()
 	env.Dataset = set.name
-	env.Fingerprint = fp
 	env.Degraded = set.degraded
-	set.mu.RUnlock()
 	req, params, err := parseAudit(kind, q)
+	var wd time.Duration
+	if err == nil {
+		wd, err = s.timeout(q)
+	}
 	if err != nil {
+		// The refusal still names the state the request would have read.
+		set.mu.RLock()
+		env.Fingerprint, _, _ = set.provenance()
+		set.mu.RUnlock()
 		fail(w, http.StatusBadRequest, env, err)
 		return
 	}
 	env.Params = params
-	wd, err := s.timeout(q)
-	if err != nil {
-		fail(w, http.StatusBadRequest, env, err)
-		return
-	}
-	// The key names the effective window, not the caller's spelling: no
-	// window, window=0 and any window covering every retained record all
-	// audit the full set (Auditor.Last) and share one entry. The envelope
-	// still echoes the caller's own params.
-	keyParts := []string{env.Fingerprint, "audit=" + kind}
-	for _, k := range sortedKeys(params) {
-		if k != "window" {
-			keyParts = append(keyParts, k+"="+params[k])
-		}
-	}
-	if req.window > 0 && req.window < retained {
-		keyParts = append(keyParts, "window="+strconv.Itoa(req.window))
-	}
-	key := obs.ConfigHash(keyParts...)
 	t := startTimer()
-	p, hit, err := s.cache.do(key, func() (*payload, error) {
-		return s.runBounded(r.Context(), wd, func(ctx context.Context) (*payload, error) {
+	res, err := pipeline.Bounded(r.Context(), wd, func(ctx context.Context) (cached, error) {
+		// One read-lock hold covers the provenance, the cache key and the
+		// audit, so the envelope's fingerprint names the state its bytes
+		// came from: an ingest waits for the hold to end, and then retires
+		// the set's cache entries.
+		set.mu.RLock()
+		defer set.mu.RUnlock()
+		fp, retained, _ := set.provenance()
+		out, err := s.cache.do(set.name, auditKey(fp, kind, params, req.window, retained), func() (*payload, error) {
 			bounded := *req
 			bounded.opts.Ctx = ctx
-			// Audits read the set's (possibly streaming) index under the
-			// read lock, serialized against ingest appends.
-			set.mu.RLock()
-			defer set.mu.RUnlock()
 			if _, windowed := params["window"]; windowed {
 				defer mReaudit.Time()()
 			}
 			return runner(set.aud.Last(bounded.window), &bounded)
 		})
+		out.fp = fp
+		return out, err
 	})
+	env.Fingerprint = res.fp
 	env.ElapsedMS = t.ms()
 	if err != nil {
 		fail(w, errStatus(err), env, err)
 		return
 	}
-	env.Cached = hit
-	writeResult(w, fmtName, env, p)
+	env.Cached = res.hit
+	writeResult(w, fmtName, env, res.p)
+}
+
+// auditKey is the result-cache key of one audit at fingerprint fp. It names
+// the effective window, not the caller's spelling: no window, window=0 and
+// any window covering every retained record all audit the full set
+// (Auditor.Last) and share one entry. The envelope still echoes the
+// caller's own params.
+func auditKey(fp, kind string, params map[string]string, window, retained int) string {
+	parts := []string{fp, "audit=" + kind}
+	for _, k := range sortedKeys(params) {
+		if k != "window" {
+			parts = append(parts, k+"="+params[k])
+		}
+	}
+	if window > 0 && window < retained {
+		parts = append(parts, "window="+strconv.Itoa(window))
+	}
+	return obs.ConfigHash(parts...)
 }
 
 func sortedKeys(m map[string]string) []string {

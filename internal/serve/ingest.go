@@ -326,7 +326,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, api string) {
 	// Frames are decoded before creating a fresh data set and before taking
 	// the set's write lock: malformed input neither registers an empty set
 	// nor blocks concurrent audits.
-	batch, err := decodeBatch(&req)
+	batch, err := DecodeBatch(&req)
 	if err != nil {
 		reject(http.StatusBadRequest, err)
 		return
@@ -369,7 +369,11 @@ func (s *Server) ingestLocked(set *auditSet, req *IngestRequest, batch *stream.B
 			return http.StatusServiceUnavailable
 		}
 	}
+	before := set.stream.State().Fingerprint
 	p, err := set.apply(batch)
+	if p.Fingerprint != before {
+		s.cache.drop(set.name)
+	}
 	resp.report(p)
 	if set.wal != nil && !set.wal.broken && set.wal.due() {
 		//lint:allow lockheld checkpoint quiescence invariant: compaction truncates the WAL and must see a quiesced set — a concurrent ingest appending between snapshot and truncate would lose its acknowledged batch
@@ -412,10 +416,13 @@ func (r *IngestResponse) report(p stream.Progress) {
 	r.Height = p.Height
 }
 
-// decodeBatch converts a request's frames to the decoded batch a stream.Set
-// applies. A pending transaction whose ID does not parse is observer
-// noise, not data: it is dropped, but its snapshot still counts it.
-func decodeBatch(req *IngestRequest) (*stream.Batch, error) {
+// DecodeBatch converts a request's frames to the decoded batch a
+// stream.Set applies. It is the one ingest decoder: HTTP ingest, WAL
+// replay and the in-process observer.IndexSink all decode through it, so
+// every applied block is freshly built and shares nothing with its source.
+// A pending transaction whose ID does not parse is observer noise, not
+// data: it is dropped, but its snapshot still counts it.
+func DecodeBatch(req *IngestRequest) (*stream.Batch, error) {
 	b := &stream.Batch{
 		Source:    req.Source,
 		Blocks:    make([]*chain.Block, 0, len(req.Blocks)),

@@ -101,8 +101,8 @@ type Config struct {
 // auditSet is one loaded data set: a shared auditor plus the provenance the
 // envelopes carry. Startup-loaded sets are read-only; streaming sets
 // (created by POST /v1/ingest) grow, so every audit read holds mu.RLock and
-// every append holds mu.Lock. The fingerprint rotates on append, which
-// retires all of the set's result-cache entries at once.
+// every append holds mu.Lock. The fingerprint rotates on append, and the
+// append drops all of the set's result-cache entries at once.
 type auditSet struct {
 	// mu is a streaming set's own stream.Set lock, so each set has exactly
 	// one.

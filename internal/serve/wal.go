@@ -748,7 +748,7 @@ func parseWALLine(name string, line []byte) (*stream.Batch, error) {
 	if req.Dataset != name {
 		return nil, fmt.Errorf("logged dataset %q does not match wal %q", req.Dataset, name)
 	}
-	return decodeBatch(&req)
+	return DecodeBatch(&req)
 }
 
 // checkpointSet compacts one set's WAL into a fresh checkpoint. Caller
