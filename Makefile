@@ -10,7 +10,8 @@ GO ?= go
 # `set -e` shell that writes only under its own mktemp -d directory and
 # removes it when it exits, so concurrent runs never share a path; a
 # daemon's exit trap runs with `set +e`, since its kill may find the daemon
-# already gone.
+# already gone, and waits for the daemon before it removes the directory:
+# a terminated chainauditd still writes its final checkpoints there.
 check: vet build lint lint-fixtures race smoke-metrics smoke-chaos smoke-serve smoke-stream smoke-live smoke-crash smoke-multi bench-short
 
 # lint runs the determinism & concurrency/durability analyzer suite
@@ -132,7 +133,7 @@ smoke-serve:
 	rm -f $$T/chainaudit-serve-addr; \
 	$$T/chainauditd -addr 127.0.0.1:0 -ready-file $$T/chainaudit-serve-addr \
 		-sim -seed 5 -scale 0.1 -chain main=$$T/chainaudit-serve-chain.csv 2> $$T/chainaudit-serve-log.txt & \
-	DPID=$$!; trap 'set +e; kill $$DPID 2>/dev/null; rm -rf "$$T"' EXIT; \
+	DPID=$$!; trap 'set +e; kill $$DPID 2>/dev/null; wait $$DPID 2>/dev/null; rm -rf "$$T"' EXIT; \
 	tries=0; until [ -s $$T/chainaudit-serve-addr ]; do \
 		tries=$$((tries+1)); \
 		if [ $$tries -gt 1200 ]; then echo "chainauditd never became ready"; cat $$T/chainaudit-serve-log.txt; exit 1; fi; \
@@ -162,7 +163,7 @@ smoke-stream:
 	rm -f $$T/chainaudit-stream-addr; \
 	$$T/chainauditd -addr 127.0.0.1:0 -ready-file $$T/chainaudit-stream-addr \
 		-chain main=$$T/chainaudit-stream-chain.csv 2> $$T/chainaudit-stream-log.txt & \
-	DPID=$$!; trap 'set +e; kill $$DPID 2>/dev/null; rm -rf "$$T"' EXIT; \
+	DPID=$$!; trap 'set +e; kill $$DPID 2>/dev/null; wait $$DPID 2>/dev/null; rm -rf "$$T"' EXIT; \
 	tries=0; until [ -s $$T/chainaudit-stream-addr ]; do \
 		tries=$$((tries+1)); \
 		if [ $$tries -gt 1200 ]; then echo "chainauditd never became ready"; cat $$T/chainaudit-stream-log.txt; exit 1; fi; \
@@ -196,7 +197,7 @@ smoke-live:
 	rm -f $$T/chainaudit-live-addr; \
 	$$T/chainauditd -addr 127.0.0.1:0 -ready-file $$T/chainaudit-live-addr \
 		-chain main=$$T/chainaudit-live-chain.csv 2> $$T/chainaudit-live-log.txt & \
-	DPID=$$!; trap 'set +e; kill $$DPID 2>/dev/null; rm -rf "$$T"' EXIT; \
+	DPID=$$!; trap 'set +e; kill $$DPID 2>/dev/null; wait $$DPID 2>/dev/null; rm -rf "$$T"' EXIT; \
 	tries=0; until [ -s $$T/chainaudit-live-addr ]; do \
 		tries=$$((tries+1)); \
 		if [ $$tries -gt 1200 ]; then echo "chainauditd never became ready"; cat $$T/chainaudit-live-log.txt; exit 1; fi; \
@@ -240,7 +241,7 @@ smoke-crash:
 	$$T/chainauditd -addr 127.0.0.1:0 -ready-file $$T/chainaudit-crash-addr \
 		-chain main=$$T/chainaudit-crash-chain.csv -stream-dir $$T/chainaudit-crash-wal \
 		-stream-checkpoint 4 2> $$T/chainaudit-crash-log.txt & \
-	DPID=$$!; DPID2=; trap 'set +e; kill $$DPID $$DPID2 2>/dev/null; rm -rf "$$T"' EXIT; \
+	DPID=$$!; DPID2=; trap 'set +e; kill $$DPID $$DPID2 2>/dev/null; wait $$DPID $$DPID2 2>/dev/null; rm -rf "$$T"' EXIT; \
 	tries=0; until [ -s $$T/chainaudit-crash-addr ]; do \
 		tries=$$((tries+1)); \
 		if [ $$tries -gt 1200 ]; then echo "chainauditd never became ready"; cat $$T/chainaudit-crash-log.txt; exit 1; fi; \

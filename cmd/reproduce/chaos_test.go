@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"chainaudit/internal/dataset"
 	"chainaudit/internal/obs"
 )
 
@@ -55,8 +56,11 @@ func TestChaosRunCompletesWithFaultsInManifest(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "m.json")
 	var out bytes.Buffer
-	// A seed no other test uses: cached fault-free builds would leave this
-	// run's fault delta at zero.
+	// Fresh data sets: a cached build left by an earlier run of this test
+	// (-count) injects nothing, leaving the fault delta at zero. The seed is
+	// one no other test uses, so no fault-free build is cached under it
+	// either.
+	dataset.ResetCache()
 	err := run([]string{"-scale", "0.1", "-seed", "91", "-exp", "table1,fig4,fig9",
 		"-chaos", "seed=3,pool.outage=0.2,obs.miss=0.25,snap.blackout=0.3,snap.window=15m",
 		"-metrics", path, "-require-faults"}, &out)

@@ -60,6 +60,9 @@ func ViolationPairs(snap mempool.Snapshot, c *chain.Chain, opts ViolationOptions
 		block int64
 	}
 	items := make([]item, 0, len(snap.Txs))
+	// deps caches each confirming block's dependency set: many snapshot
+	// transactions share a block, and building the set walks all of it.
+	var deps map[int64]map[chain.TxID]bool
 	for _, st := range snap.Txs {
 		loc, ok := c.Locate(st.Tx.ID)
 		if !ok {
@@ -74,7 +77,17 @@ func ViolationPairs(snap mempool.Snapshot, c *chain.Chain, opts ViolationOptions
 			continue
 		}
 		if opts.ExcludeDependent {
-			if b := c.BlockAt(loc.Height); b != nil && b.DependencySet()[st.Tx.ID] {
+			dep, ok := deps[loc.Height]
+			if !ok {
+				if b := c.BlockAt(loc.Height); b != nil {
+					dep = b.DependencySet()
+				}
+				if deps == nil {
+					deps = make(map[int64]map[chain.TxID]bool)
+				}
+				deps[loc.Height] = dep
+			}
+			if dep[st.Tx.ID] {
 				continue
 			}
 		}

@@ -50,8 +50,10 @@ func (p *Positions) N() int { return len(p.IDs) }
 // dependency-driven, not norm-driven — the paper discards them), as is the
 // coinbase. Prediction sorts by fee-rate descending, the greedy GBT norm;
 // ties keep observed order (the norm does not constrain ties).
-func AnalyzeBlock(b *chain.Block) *Positions {
-	cpfp := b.CPFPSet()
+func AnalyzeBlock(b *chain.Block) *Positions { return analyzeBlock(b, b.CPFPSet()) }
+
+// analyzeBlock is AnalyzeBlock over the block's precomputed CPFP set.
+func analyzeBlock(b *chain.Block, cpfp map[chain.TxID]bool) *Positions {
 	body := b.Body()
 	info := &Positions{
 		Observed:  make(map[chain.TxID]int),
@@ -270,11 +272,12 @@ func NewIncremental(reg *poolid.Registry, opts ...Option) *BlockIndex {
 // buildRecord derives one block's record — the embarrassingly parallel part
 // of the sweep, shared verbatim by Build and AppendBlock.
 func buildRecord(b *chain.Block, reg *poolid.Registry) BlockRecord {
+	cpfp := b.CPFPSet()
 	rec := BlockRecord{
 		Block:     b,
 		Pool:      reg.AttributeBlock(b),
-		Positions: AnalyzeBlock(b),
-		CPFP:      b.CPFPSet(),
+		Positions: analyzeBlock(b, cpfp),
+		CPFP:      cpfp,
 	}
 	rec.PPE, rec.PPEValid = rec.Positions.PPE()
 	body := b.Body()

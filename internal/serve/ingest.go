@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"time"
 
@@ -338,7 +337,12 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, api string) {
 		}
 	}
 
-	status := s.ingestLocked(set, &req, batch, &resp)
+	status, ck := s.ingestLocked(set, &req, batch, &resp)
+	if ck != nil {
+		// The checkpoint this batch sealed is written after the ack, on the
+		// set's one background writer, outside set.mu.
+		defer func() { go ck.run() }()
+	}
 	resp.ElapsedMS = t.ms()
 	if status != http.StatusOK {
 		failIngest(w, status, &resp)
@@ -347,26 +351,30 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, api string) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// ingestLocked is the critical section of ingest: WAL append, in-memory
-// apply, and checkpoint compaction under the set's write lock. A covered
-// batch (stream.Set.Covered) is not logged: it can only be refused, and
-// its apply answers the 409 without changing the set. It returns
-// the HTTP status for the batch and fills resp's progress fields; the
-// caller writes the response AFTER the lock is released, so a slow or
-// stalled client connection can never freeze the set for concurrent
-// ingests and audits.
-func (s *Server) ingestLocked(set *auditSet, req *IngestRequest, batch *stream.Batch, resp *IngestResponse) int {
+// ingestLocked is the critical section of ingest: WAL append (and the seal
+// of a log the append makes due), in-memory apply, and the capture of a
+// sealed checkpoint under the set's write lock. A covered batch
+// (stream.Set.Covered) is not logged: it can only be refused, and its
+// apply answers the 409 without changing the set. It returns the HTTP
+// status for the batch, fills resp's progress fields, and returns the
+// checkpoint write a seal started, if any; the caller writes the response
+// and starts that write AFTER the lock is released, so neither a slow
+// client connection nor checkpoint encoding and I/O ever holds the set
+// against concurrent ingests and audits.
+func (s *Server) ingestLocked(set *auditSet, req *IngestRequest, batch *stream.Batch, resp *IngestResponse) (int, *ckptWrite) {
 	set.mu.Lock()
 	defer set.mu.Unlock()
+	sealed := false
 	if set.wal != nil && !set.stream.Covered(batch) {
-		//lint:allow lockheld write-ahead ordering invariant: the WAL append must commit under the same set.mu hold as stream.Set.Apply, or a concurrent batch could apply between log and apply and recovery would replay them out of order
-		if err := set.wal.appendRequest(req); err != nil {
+		var err error
+		//lint:allow lockheld write-ahead ordering invariant: the WAL append, and the seal of the log it makes due, must commit under the same set.mu hold as stream.Set.Apply, or a concurrent batch could apply between log and apply (recovery would replay them out of order) or land in a generation the sealed checkpoint claims to cover
+		if sealed, err = set.wal.appendRequest(req); err != nil {
 			// Write-ahead failed: nothing was applied, so the feeder can
 			// safely re-ship the whole batch after the service recovers.
 			// (503 counts as a service error via writeError, not a reject.)
 			resp.report(set.stream.Progress())
 			resp.Error = err.Error()
-			return http.StatusServiceUnavailable
+			return http.StatusServiceUnavailable, nil
 		}
 	}
 	before := set.stream.State().Fingerprint
@@ -375,17 +383,15 @@ func (s *Server) ingestLocked(set *auditSet, req *IngestRequest, batch *stream.B
 		s.cache.drop(set.name)
 	}
 	resp.report(p)
-	if set.wal != nil && !set.wal.broken && set.wal.due() {
-		//lint:allow lockheld checkpoint quiescence invariant: compaction truncates the WAL and must see a quiesced set — a concurrent ingest appending between snapshot and truncate would lose its acknowledged batch
-		if err := s.checkpointSet(set); err != nil {
-			log.Printf("serve: checkpoint %s: %v", set.name, err)
-		}
+	var ck *ckptWrite
+	if sealed {
+		ck = set.wal.startWrite(captureCheckpoint(set, set.wal.gen))
 	}
 	if err != nil {
 		resp.Error = err.Error()
-		return http.StatusConflict
+		return http.StatusConflict, ck
 	}
-	return http.StatusOK
+	return http.StatusOK, ck
 }
 
 // apply runs a decoded batch through the set's one apply path and counts

@@ -249,7 +249,13 @@ func TestAuditTextMatchesCLISection(t *testing.T) {
 }
 
 func TestAuditJSONAndCacheFlag(t *testing.T) {
-	s := testServer(t)
+	// A fresh server: the shared one's result cache keeps every earlier
+	// run's entries, so a repeat run (-count) would find the "different
+	// params" request already cached.
+	s, err := New(Config{Sim: true, Seed: fixSeed, Scale: fixScale})
+	if err != nil {
+		t.Fatal(err)
+	}
 	url := "/v1/audits/ppe?dataset=A"
 	first := decode[Envelope](t, do(t, s.Handler(), "POST", url))
 	if first.Kind != "audit" || first.Name != "ppe" || first.Dataset != "A" {

@@ -1,15 +1,18 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -102,74 +105,122 @@ func fnv64a(s string) uint64 {
 	return h
 }
 
-// setWAL is one streaming set's write-ahead log: a JSONL file of accepted
-// IngestRequest lines — the exact wire format cmd/streamfeed replays —
-// plus a checkpoint file that compacts the log. All methods are called
-// under the owning set's mu.
+// A durable set's files in the stream directory (DESIGN.md §13):
+//
+//	<set>.wal       the live log: the accepted batches since the newest seal
+//	<set>.wal.<g>   sealed generation g ≥ 1: the live log as the g-th seal left it
+//	<set>.ckpt.<g>  a checkpoint ("wal_gen": g) covering every generation ≤ g
+//	<set>.ckpt      a checkpoint from before generations, read but never
+//	                written: its "wal_lines" covers a prefix of the first log
+//
+// Only a seal, Close and recovery delete files, each under the set's mu (or
+// with exclusive access at boot), and each deletes only what a checkpoint
+// already written in full covers. So the directory is a valid crash state
+// at every instant, and so is a file-by-file copy of it taken while no
+// ingest is in flight.
+
+// setWAL is one streaming set's write-ahead log: JSONL files of accepted
+// IngestRequest lines — the exact wire format cmd/streamfeed replays — cut
+// into sealed generations, plus the checkpoints that cover them. Every
+// method runs under the owning set's mu (or with exclusive access at boot)
+// except ckptWrite.run, the background checkpoint write, which only
+// creates and writes its own checkpoint file.
 type setWAL struct {
-	name    string
-	walPath string
-	ckPath  string
-	policy  fsyncPolicy
-	every   int
-	inj     *faults.WALInjector
-	f       *os.File
-	// lines counts the WAL lines not yet covered by a checkpoint; unsynced
-	// counts appends since the last fsync (batch policy).
+	name   string
+	dir    string
+	policy fsyncPolicy
+	every  int
+	inj    *faults.WALInjector
+	f      *os.File
+	// lines counts the live log's lines; unsynced counts appends since the
+	// last fsync (batch policy).
 	lines    int
 	unsynced int
 	// broken marks an injected (or real) append failure: the "process" died
 	// mid-write, so the log refuses further appends until restart. Live
 	// requests see 503 and the observer re-ships after recovery.
 	broken bool
+	// gen is the newest sealed generation, 0 before the first seal.
+	// published is the newest checkpoint generation written in full, and
+	// cleaned the newest whose covered files are already deleted.
+	gen, published, cleaned int64
+	// pending is the background checkpoint write in flight, if any.
+	pending *ckptWrite
 }
 
-// openWAL opens (creating if needed) the named set's log for appends. Under
-// every policy but off it syncs the stream directory, so a log the open
-// created keeps its directory entry across a power loss.
-func (s *Server) openWAL(name string) (*setWAL, error) {
+// newWAL describes the named set's log without touching the directory.
+func (s *Server) newWAL(name string) *setWAL {
 	w := &setWAL{
-		name:    name,
-		walPath: filepath.Join(s.cfg.StreamDir, name+walSuffix),
-		ckPath:  filepath.Join(s.cfg.StreamDir, name+ckptSuffix),
-		policy:  s.fsync,
-		every:   s.cfg.CheckpointEvery,
-		inj:     s.plan.WAL(fnv64a(name)),
+		name:   name,
+		dir:    s.cfg.StreamDir,
+		policy: s.fsync,
+		every:  s.cfg.CheckpointEvery,
+		inj:    s.plan.WAL(fnv64a(name)),
 	}
 	if w.every <= 0 {
 		w.every = defaultCheckpointEvery
 	}
-	if err := os.MkdirAll(s.cfg.StreamDir, 0o755); err != nil {
+	return w
+}
+
+func (w *setWAL) livePath() string { return filepath.Join(w.dir, w.name+walSuffix) }
+
+func (w *setWAL) genPath(g int64) string { return w.livePath() + "." + strconv.FormatInt(g, 10) }
+
+// ckptPath names generation g's checkpoint; generation 0 is the legacy
+// <set>.ckpt.
+func (w *setWAL) ckptPath(g int64) string {
+	p := filepath.Join(w.dir, w.name+ckptSuffix)
+	if g == 0 {
+		return p
+	}
+	return p + "." + strconv.FormatInt(g, 10)
+}
+
+// openWAL opens (creating if needed) the named set's live log for appends.
+func (s *Server) openWAL(name string) (*setWAL, error) {
+	w := s.newWAL(name)
+	if err := os.MkdirAll(w.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: stream dir: %w", err)
 	}
-	f, err := os.OpenFile(w.walPath, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
+	if err := w.openLive(); err != nil {
 		return nil, fmt.Errorf("serve: wal %s: %w", name, err)
 	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("serve: wal %s: %w", name, err)
+	return w, nil
+}
+
+// openLive opens the live log for appends, creating it if needed. Under
+// every policy but off it syncs the stream directory, so a log the open
+// created keeps its directory entry across a power loss.
+func (w *setWAL) openLive() error {
+	f, err := os.OpenFile(w.livePath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
 	}
 	if err := w.syncDir(); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("serve: wal %s: directory sync: %w", name, err)
+		return fmt.Errorf("directory sync: %w", err)
 	}
 	w.f = f
-	return w, nil
+	return nil
 }
 
 // appendRequest logs one accepted ingest batch, write-ahead of its
 // application. A fault injector may tear the write (a prefix lands on disk)
 // or crash it (nothing lands); either way the WAL marks itself broken and
 // the caller answers 503 — the durable analogue of the process dying before
-// it replied.
-func (w *setWAL) appendRequest(req *IngestRequest) error {
+// it replied. When the append makes the log due for a checkpoint and no
+// checkpoint write is in flight, it seals the log, and sealed reports it:
+// the caller then captures the checkpoint after applying the batch, under
+// the same hold of set.mu. A failed seal does not fail the batch, which is
+// already logged.
+func (w *setWAL) appendRequest(req *IngestRequest) (sealed bool, err error) {
 	if w.broken {
-		return fmt.Errorf("wal %s: unavailable after append failure; restart to recover", w.name)
+		return false, fmt.Errorf("wal %s: unavailable after append failure; restart to recover", w.name)
 	}
 	line, err := json.Marshal(req)
 	if err != nil {
-		return fmt.Errorf("wal %s: marshal: %w", w.name, err)
+		return false, fmt.Errorf("wal %s: marshal: %w", w.name, err)
 	}
 	if act := w.inj.Append(); act.Tear || act.Crash {
 		w.broken = true
@@ -178,14 +229,14 @@ func (w *setWAL) appendRequest(req *IngestRequest) error {
 			if keep > 0 {
 				_, _ = w.f.Write(line[:keep])
 			}
-			return fmt.Errorf("wal %s: injected torn write (%d of %d bytes)", w.name, keep, len(line)+1)
+			return false, fmt.Errorf("wal %s: injected torn write (%d of %d bytes)", w.name, keep, len(line)+1)
 		}
-		return fmt.Errorf("wal %s: injected crash before append", w.name)
+		return false, fmt.Errorf("wal %s: injected crash before append", w.name)
 	}
 	n, err := w.f.Write(append(line, '\n'))
 	if err != nil {
 		w.broken = true
-		return fmt.Errorf("wal %s: append: %w", w.name, err)
+		return false, fmt.Errorf("wal %s: append: %w", w.name, err)
 	}
 	w.lines++
 	w.unsynced++
@@ -201,9 +252,16 @@ func (w *setWAL) appendRequest(req *IngestRequest) error {
 	}
 	if err != nil {
 		w.broken = true
-		return fmt.Errorf("wal %s: fsync: %w", w.name, err)
+		return false, fmt.Errorf("wal %s: fsync: %w", w.name, err)
 	}
-	return nil
+	if w.lines < w.every || w.busy() {
+		return false, nil
+	}
+	if err := w.seal(); err != nil {
+		log.Printf("serve: wal %s: seal: %v", w.name, err)
+		return false, nil
+	}
+	return true, nil
 }
 
 func (w *setWAL) sync() error {
@@ -216,12 +274,12 @@ func (w *setWAL) sync() error {
 }
 
 // syncDir fsyncs the stream directory, persisting the entries that creating
-// the log and renaming a checkpoint in changed. A no-op under policy off.
+// a log, sealing one and writing a checkpoint add. A no-op under policy off.
 func (w *setWAL) syncDir() error {
 	if w.policy == fsyncOff {
 		return nil
 	}
-	d, err := os.Open(filepath.Dir(w.walPath))
+	d, err := os.Open(w.dir)
 	if err != nil {
 		return err
 	}
@@ -233,66 +291,138 @@ func (w *setWAL) syncDir() error {
 	return nil
 }
 
-// due reports whether enough batches accumulated to warrant a checkpoint.
-func (w *setWAL) due() bool { return w.lines >= w.every }
-
-// writeCheckpoint atomically persists the checkpoint and compacts the log.
-// The sequence is crash-safe at every step: (1) the checkpoint lands via
-// tmp+rename recording how many WAL lines it covers, (2) the covered lines
-// are truncated away, (3) the checkpoint is rewritten with zero covered
-// lines. Recovery skips min(covered, present) lines, which is exact in
-// every crash window — and appends only resume after step 3, so a growing
-// WAL always pairs with a zero-coverage checkpoint. Unless the policy is
-// off, the truncate is synced before step 3 publishes, so the zero-coverage
-// checkpoint never lands beside covered lines the truncate did not persist.
-func (w *setWAL) writeCheckpoint(ck *walCheckpoint) error {
-	if w.broken {
-		return fmt.Errorf("wal %s: broken; checkpoint refused", w.name)
-	}
+// seal closes the live log as generation gen+1: it syncs the log (unless
+// the policy is off), renames it to <set>.wal.<gen+1>, opens a fresh live
+// log and syncs the directory (unless off) — so no batch acknowledged
+// after the seal is appended to a file whose name a power loss could still
+// take back — and then deletes what the newest published checkpoint
+// covers. A failed rename leaves the live log as it was, to be sealed at a
+// later append; any failure after it breaks the WAL, since its live log is
+// gone.
+func (w *setWAL) seal() error {
 	if w.policy != fsyncOff && w.unsynced > 0 {
 		if err := w.sync(); err != nil {
-			return fmt.Errorf("wal %s: pre-checkpoint fsync: %w", w.name, err)
+			w.broken = true
+			return fmt.Errorf("pre-seal fsync: %w", err)
 		}
 	}
-	ck.WALLines = w.lines
-	if err := w.persistCheckpoint(ck); err != nil {
+	if err := os.Rename(w.livePath(), w.genPath(w.gen+1)); err != nil {
 		return err
 	}
-	if err := w.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal %s: truncate: %w", w.name, err)
+	w.gen++
+	w.lines, w.unsynced = 0, 0
+	err := w.f.Close()
+	w.f = nil
+	if err == nil {
+		err = w.openLive()
 	}
-	if _, err := w.f.Seek(0, 0); err != nil {
-		return fmt.Errorf("wal %s: rewind: %w", w.name, err)
+	if err != nil {
+		w.broken = true
+		return fmt.Errorf("open generation %d's successor: %w", w.gen, err)
 	}
-	if w.policy != fsyncOff {
-		if err := w.sync(); err != nil {
-			return fmt.Errorf("wal %s: truncate fsync: %w", w.name, err)
-		}
-	}
-	w.lines = 0
-	w.unsynced = 0
-	ck.WALLines = 0
-	if err := w.persistCheckpoint(ck); err != nil {
-		return err
-	}
-	mWALCheckpoints.Inc()
+	w.clean()
 	return nil
 }
 
-// persistCheckpoint writes the checkpoint file atomically (tmp + fsync +
-// rename + directory fsync), so a crash never leaves a half-written
-// checkpoint behind and a synced rename survives a power loss.
-func (w *setWAL) persistCheckpoint(ck *walCheckpoint) error {
-	raw, err := json.Marshal(ck)
-	if err != nil {
-		return fmt.Errorf("wal %s: marshal checkpoint: %w", w.name, err)
+// clean deletes the files the newest published checkpoint covers: the
+// sealed generations up to it and the checkpoints before it, the legacy
+// <set>.ckpt included. It never deletes the published checkpoint itself
+// or anything newer, so a crash at any point leaves a recoverable set.
+// Losing a deletion to a crash is harmless: recovery deletes again.
+func (w *setWAL) clean() {
+	for g := w.cleaned; g < w.published; g++ {
+		removeStale(w.genPath(g + 1))
+		removeStale(w.ckptPath(g))
 	}
-	tmp := w.ckPath + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal %s: checkpoint tmp: %w", w.name, err)
+	w.cleaned = w.published
+}
+
+// removeStale deletes a covered file, logging (not failing on) errors: a
+// file left behind only costs disk until the next clean.
+func removeStale(path string) {
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		log.Printf("serve: wal: remove %s: %v", path, err)
 	}
-	if _, err := f.Write(append(raw, '\n')); err != nil {
+}
+
+// ckptWrite is one background checkpoint write: the state captured at a
+// seal, written outside set.mu after the batch is acknowledged. done closes
+// when it ends; err is its outcome, read only after done.
+type ckptWrite struct {
+	w    *setWAL
+	gen  int64
+	ck   *ckptState
+	done chan struct{}
+	err  error
+}
+
+// startWrite marks a write of ck in flight and returns it; the caller runs
+// it once set.mu is released. At most one write is in flight per set, as
+// appendRequest seals only when busy reports none. Caller holds set.mu.
+func (w *setWAL) startWrite(ck *ckptState) *ckptWrite {
+	w.pending = &ckptWrite{w: w, gen: ck.gen, ck: ck, done: make(chan struct{})}
+	return w.pending
+}
+
+// run encodes and writes the checkpoint. It reads only the captured state
+// and the setWAL's immutable fields, and drops the state when done: a set
+// that goes idle keeps its finished write until its next append.
+func (c *ckptWrite) run() {
+	defer close(c.done)
+	if c.err = c.w.persist(c.ck); c.err != nil {
+		log.Printf("serve: checkpoint %s: %v", c.w.name, c.err)
+	}
+	c.ck = nil
+}
+
+// busy reports whether a background checkpoint write is in flight; a
+// finished one's outcome is folded into published. Caller holds set.mu.
+func (w *setWAL) busy() bool {
+	if w.pending == nil {
+		return false
+	}
+	select {
+	case <-w.pending.done:
+	default:
+		return true
+	}
+	w.settle()
+	return false
+}
+
+// wait blocks until the in-flight checkpoint write, if any, has ended.
+// Caller holds set.mu.
+func (w *setWAL) wait() {
+	if w.pending != nil {
+		<-w.pending.done
+		w.settle()
+	}
+}
+
+// settle folds the ended write's outcome into published.
+func (w *setWAL) settle() {
+	if w.pending.err == nil && w.pending.gen > w.published {
+		w.published = w.pending.gen
+	}
+	w.pending = nil
+}
+
+// persist writes ck as <set>.ckpt.<gen>: create, encode straight into the
+// file, fsync, close and sync the directory (no syncs under policy off).
+// It neither renames nor deletes: a write cut short leaves a file recovery
+// cannot parse and skips, and the generations it would have covered are
+// still on disk, because clean deletes only what a finished write covers.
+func (w *setWAL) persist(ck *ckptState) error {
+	f, err := os.OpenFile(w.ckptPath(ck.gen), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal %s: checkpoint: %w", w.name, err)
+	}
+	bw := bufio.NewWriterSize(f, 256<<10)
+	if err := ck.encodeTo(bw); err != nil {
+		f.Close()
+		return fmt.Errorf("wal %s: checkpoint write: %w", w.name, err)
+	}
+	if err := bw.Flush(); err != nil {
 		f.Close()
 		return fmt.Errorf("wal %s: checkpoint write: %w", w.name, err)
 	}
@@ -306,12 +436,34 @@ func (w *setWAL) persistCheckpoint(ck *walCheckpoint) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("wal %s: checkpoint close: %w", w.name, err)
 	}
-	if err := os.Rename(tmp, w.ckPath); err != nil {
-		return fmt.Errorf("wal %s: checkpoint rename: %w", w.name, err)
-	}
 	if err := w.syncDir(); err != nil {
 		return fmt.Errorf("wal %s: checkpoint directory sync: %w", w.name, err)
 	}
+	mWALCheckpoints.Inc()
+	return nil
+}
+
+// checkpointNow brings the set's checkpoint up to date synchronously: it
+// seals a non-empty live log, writes the newest generation's checkpoint
+// unless one is already published, and cleans. Close and recovery call it
+// with no write in flight. Caller holds set.mu (or has exclusive access
+// during boot).
+func (w *setWAL) checkpointNow(set *auditSet) error {
+	if w.broken {
+		return fmt.Errorf("wal %s: broken; checkpoint refused", w.name)
+	}
+	if w.lines > 0 {
+		if err := w.seal(); err != nil {
+			return fmt.Errorf("wal %s: seal: %w", w.name, err)
+		}
+	}
+	if w.published < w.gen {
+		if err := w.persist(captureCheckpoint(set, w.gen)); err != nil {
+			return err
+		}
+		w.published = w.gen
+	}
+	w.clean()
 	return nil
 }
 
@@ -339,9 +491,12 @@ func (w *setWAL) close() error {
 type walCheckpoint struct {
 	API     string `json:"api"`
 	Dataset string `json:"dataset"`
-	// WALLines is how many lines of the set's WAL this checkpoint already
-	// covers; recovery replays only the suffix past them.
-	WALLines    int           `json:"wal_lines"`
+	// WALLines is how many lines of the first replayed log a legacy
+	// checkpoint already covers; checkpoints with a generation write 0.
+	WALLines int `json:"wal_lines"`
+	// WALGen is the newest sealed generation the checkpoint covers: recovery
+	// replays only the generations above it, then the live log.
+	WALGen      int64         `json:"wal_gen,omitempty"`
 	Fingerprint string        `json:"fingerprint"`
 	Retain      int           `json:"retain"`
 	Ingested    int64         `json:"ingested"`
@@ -395,43 +550,68 @@ type ckptSelfSet struct {
 	IDs  []string `json:"ids"`
 }
 
-// buildCheckpoint captures the set's restore state. Caller holds set.mu.
-func buildCheckpoint(set *auditSet) *walCheckpoint {
+// ckptState is a checkpoint captured under set.mu at a seal: the scalar
+// aggregates and the small attribution maps, already flattened, plus what
+// is large — the retained blocks and the two arrival ledgers — copied but
+// not yet sorted or encoded. Blocks are immutable once applied, so sharing
+// their pointers is safe; the ledgers are copied because later snapshots
+// update them in place.
+type ckptState struct {
+	gen     int64
+	head    walCheckpoint // every field but Blocks, FirstSeen and SourceSeen
+	blocks  []*chain.Block
+	seen    []seenAt
+	srcSeen []srcSeenAt
+}
+
+type seenAt struct {
+	id chain.TxID
+	ns int64
+}
+
+type srcSeenAt struct {
+	id  chain.TxID
+	src string
+	ns  int64
+}
+
+// captureCheckpoint copies the set's restore state for generation gen's
+// checkpoint. It only copies; encode sorts the ledgers and renders the
+// bytes outside the lock. Caller holds set.mu.
+func captureCheckpoint(set *auditSet, gen int64) *ckptState {
 	st := set.stream.State()
 	snap := set.stream.Index().Snapshot()
-	ck := &walCheckpoint{
-		API:         API,
-		Dataset:     set.name,
-		Fingerprint: st.Fingerprint,
-		Retain:      set.stream.Index().Retention(),
-		Ingested:    snap.Ingested,
-		Dropped:     snap.Dropped,
-		Appends:     st.Appends,
-		Snapshots:   st.Snapshots,
-		LastHeight:  st.LastHeight,
-		Txs:         st.Txs,
-		Blocks:      make([]BlockFrame, 0, len(snap.Blocks)),
+	c := &ckptState{
+		gen: gen,
+		head: walCheckpoint{
+			API:         API,
+			Dataset:     set.name,
+			WALGen:      gen,
+			Fingerprint: st.Fingerprint,
+			Retain:      set.stream.Index().Retention(),
+			Ingested:    snap.Ingested,
+			Dropped:     snap.Dropped,
+			Appends:     st.Appends,
+			Snapshots:   st.Snapshots,
+			LastHeight:  st.LastHeight,
+			Txs:         st.Txs,
+			Sources:     snap.Sources,
+		},
+		blocks:  snap.Blocks,
+		seen:    make([]seenAt, 0, len(snap.FirstSeen)),
+		srcSeen: make([]srcSeenAt, 0, len(snap.SourceSeen)),
 	}
-	for _, b := range snap.Blocks {
-		ck.Blocks = append(ck.Blocks, FrameBlock(b))
-	}
+	// encode sorts both ledgers by transaction ID (and source) before any
+	// byte is written.
 	for id, t := range snap.FirstSeen {
-		ck.FirstSeen = append(ck.FirstSeen, ckptSeen{ID: id.String(), NS: t.UnixNano()})
+		c.seen = append(c.seen, seenAt{id: id, ns: t.UnixNano()})
 	}
-	sort.Slice(ck.FirstSeen, func(i, j int) bool { return ck.FirstSeen[i].ID < ck.FirstSeen[j].ID })
 	for id, bySrc := range snap.SourceSeen {
-		e := ckptSrcSeen{ID: id.String()}
-		for src := range bySrc {
-			e.Sources = append(e.Sources, src)
+		for src, t := range bySrc {
+			c.srcSeen = append(c.srcSeen, srcSeenAt{id: id, src: src, ns: t.UnixNano()})
 		}
-		sort.Strings(e.Sources)
-		for _, src := range e.Sources {
-			e.NS = append(e.NS, bySrc[src].UnixNano())
-		}
-		ck.SourceSeen = append(ck.SourceSeen, e)
 	}
-	sort.Slice(ck.SourceSeen, func(i, j int) bool { return ck.SourceSeen[i].ID < ck.SourceSeen[j].ID })
-	ck.Sources = snap.Sources
+	ck := &c.head
 	for _, s := range snap.Shares {
 		ck.Shares = append(ck.Shares, ckptShare{Pool: s.Pool, Blocks: s.Blocks, Txs: s.Txs})
 	}
@@ -457,7 +637,78 @@ func buildCheckpoint(set *auditSet) *walCheckpoint {
 		ck.SelfSets = append(ck.SelfSets, e)
 	}
 	sort.Slice(ck.SelfSets, func(i, j int) bool { return ck.SelfSets[i].Pool < ck.SelfSets[j].Pool })
-	return ck
+	return c
+}
+
+// blocksKey is where encodeTo splices the block frames into the rest of
+// the checkpoint's bytes. It can only match the key itself: every field
+// before it is a number or a string, and JSON escapes a quote in a string.
+var blocksKey = []byte(`"blocks":[`)
+
+// encodeTo writes the checkpoint file's bytes: exactly json.Marshal of the
+// full walCheckpoint plus a newline, with the retained blocks as ingest
+// frames and the ledgers sorted by transaction ID (chain.TxID.Less, the
+// order of their hex strings), per-source rows by source within an ID. The
+// frames are encoded and written one block at a time, so the encoding
+// never holds more than one block's frame and bytes.
+func (c *ckptState) encodeTo(w io.Writer) error {
+	ck := c.head
+	ck.Blocks = []BlockFrame{}
+	sort.Slice(c.seen, func(i, j int) bool { return c.seen[i].id.Less(c.seen[j].id) })
+	if len(c.seen) > 0 {
+		ck.FirstSeen = make([]ckptSeen, len(c.seen))
+		for i, e := range c.seen {
+			ck.FirstSeen[i] = ckptSeen{ID: e.id.String(), NS: e.ns}
+		}
+	}
+	sort.Slice(c.srcSeen, func(i, j int) bool {
+		a, b := &c.srcSeen[i], &c.srcSeen[j]
+		if a.id != b.id {
+			return a.id.Less(b.id)
+		}
+		return a.src < b.src
+	})
+	for i := 0; i < len(c.srcSeen); {
+		id := c.srcSeen[i].id
+		e := ckptSrcSeen{ID: id.String()}
+		for ; i < len(c.srcSeen) && c.srcSeen[i].id == id; i++ {
+			e.Sources = append(e.Sources, c.srcSeen[i].src)
+			e.NS = append(e.NS, c.srcSeen[i].ns)
+		}
+		ck.SourceSeen = append(ck.SourceSeen, e)
+	}
+	head, err := json.Marshal(&ck)
+	if err != nil {
+		return err
+	}
+	i := bytes.Index(head, blocksKey)
+	if i < 0 {
+		return errors.New("checkpoint encoding has no blocks field")
+	}
+	i += len(blocksKey)
+	if _, err := w.Write(head[:i]); err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for j, b := range c.blocks {
+		buf.Reset()
+		if j > 0 {
+			buf.WriteByte(',')
+		}
+		if err := enc.Encode(FrameBlock(b)); err != nil {
+			return err
+		}
+		// Encode ends each value with a newline that Marshal would not.
+		if _, err := w.Write(buf.Bytes()[:buf.Len()-1]); err != nil {
+			return err
+		}
+	}
+	if _, err := w.Write(head[i:]); err != nil {
+		return err
+	}
+	_, err = w.Write([]byte{'\n'})
+	return err
 }
 
 // restoreCheckpoint rebuilds a streaming set from its checkpoint: retained
@@ -545,21 +796,6 @@ func (s *Server) restoreCheckpoint(ck *walCheckpoint) (*auditSet, error) {
 	}, s.now)), nil
 }
 
-func readCheckpoint(path string) (*walCheckpoint, error) {
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var ck walCheckpoint
-	if err := json.Unmarshal(raw, &ck); err != nil {
-		return nil, fmt.Errorf("parse checkpoint: %w", err)
-	}
-	return &ck, nil
-}
-
 // ---- recovery ----
 
 // recoveryInfo describes one set's boot-time recovery (healthz).
@@ -605,59 +841,108 @@ func readWALEntries(path string) ([]walEntry, error) {
 	return out, nil
 }
 
-// recoverStreams rebuilds every streaming set found in Config.StreamDir:
-// checkpoint restore, then WAL-suffix replay through the ingest apply path,
-// tolerating a torn final line (truncate-and-warn, never crash). Each
-// recovered set finishes with a fresh checkpoint, so the next boot replays
-// nothing that this one already folded.
-func (s *Server) recoverStreams() error {
-	if err := os.MkdirAll(s.cfg.StreamDir, 0o755); err != nil {
-		return fmt.Errorf("serve: stream dir: %w", err)
-	}
-	entries, err := os.ReadDir(s.cfg.StreamDir)
+// streamFiles is what the stream directory holds for one set.
+type streamFiles struct {
+	live  bool
+	gens  []int64 // sealed generations
+	ckpts []int64 // checkpoint generations; 0 is the legacy <set>.ckpt
+	tmp   bool    // a legacy <set>.ckpt.tmp that a crash left behind
+}
+
+// scanStreamDir groups the stream directory's files by set. A name maps to
+// one set and role only: a generation suffix is a canonical positive
+// integer after the last dot, and the role suffix comes before it.
+func scanStreamDir(dir string) (map[string]*streamFiles, error) {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return fmt.Errorf("serve: stream dir: %w", err)
+		return nil, err
 	}
-	seen := make(map[string]bool)
-	var names []string
+	sets := make(map[string]*streamFiles)
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
-		name := e.Name()
+		name, gen := e.Name(), int64(0)
+		if i := strings.LastIndexByte(name, '.'); i >= 0 {
+			if g, err := strconv.ParseInt(name[i+1:], 10, 64); err == nil && g > 0 && strconv.FormatInt(g, 10) == name[i+1:] {
+				name, gen = name[:i], g
+			}
+		}
+		var set string
+		var add func(*streamFiles)
 		switch {
 		case strings.HasSuffix(name, walSuffix):
-			name = strings.TrimSuffix(name, walSuffix)
+			set = strings.TrimSuffix(name, walSuffix)
+			if gen > 0 {
+				add = func(f *streamFiles) { f.gens = append(f.gens, gen) }
+			} else {
+				add = func(f *streamFiles) { f.live = true }
+			}
 		case strings.HasSuffix(name, ckptSuffix):
-			name = strings.TrimSuffix(name, ckptSuffix)
+			set = strings.TrimSuffix(name, ckptSuffix)
+			add = func(f *streamFiles) { f.ckpts = append(f.ckpts, gen) }
+		case gen == 0 && strings.HasSuffix(name, ckptSuffix+".tmp"):
+			set = strings.TrimSuffix(name, ckptSuffix+".tmp")
+			add = func(f *streamFiles) { f.tmp = true }
 		default:
-			continue // leftovers (.ckpt.tmp) and unrelated files
+			continue // unrelated files
 		}
-		if validStreamName(name) && !seen[name] {
-			seen[name] = true
-			names = append(names, name)
+		if !validStreamName(set) {
+			continue
 		}
+		if sets[set] == nil {
+			sets[set] = &streamFiles{}
+		}
+		add(sets[set])
+	}
+	for set, f := range sets {
+		if !f.live && len(f.gens) == 0 && len(f.ckpts) == 0 {
+			delete(sets, set) // a leftover tmp alone is no set
+		}
+	}
+	return sets, nil
+}
+
+// recoverStreams rebuilds every streaming set found in Config.StreamDir:
+// checkpoint restore, then replay of the newer generations and the live
+// log through the ingest apply path, tolerating a torn final line of the
+// live log (truncate-and-warn, never crash). Each recovered set finishes
+// with an up-to-date checkpoint, so the next boot replays nothing that
+// this one already folded.
+func (s *Server) recoverStreams() error {
+	if err := os.MkdirAll(s.cfg.StreamDir, 0o755); err != nil {
+		return fmt.Errorf("serve: stream dir: %w", err)
+	}
+	sets, err := scanStreamDir(s.cfg.StreamDir)
+	if err != nil {
+		return fmt.Errorf("serve: stream dir: %w", err)
+	}
+	names := make([]string, 0, len(sets))
+	for name := range sets {
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if err := s.recoverStreamSet(name); err != nil {
+		if err := s.recoverStreamSet(name, sets[name]); err != nil {
 			return fmt.Errorf("serve: recover stream %q: %w", name, err)
 		}
 	}
 	return nil
 }
 
-// recoverStreamSet recovers one set from its checkpoint + WAL pair.
-func (s *Server) recoverStreamSet(name string) error {
+// recoverStreamSet recovers one set from its files.
+func (s *Server) recoverStreamSet(name string, files *streamFiles) error {
 	t := startTimer()
 	info := &recoveryInfo{}
-	walPath := filepath.Join(s.cfg.StreamDir, name+walSuffix)
-	ck, err := readCheckpoint(filepath.Join(s.cfg.StreamDir, name+ckptSuffix))
+	w := s.newWAL(name)
+	sort.Slice(files.gens, func(i, j int) bool { return files.gens[i] < files.gens[j] })
+	sort.Slice(files.ckpts, func(i, j int) bool { return files.ckpts[i] > files.ckpts[j] })
+	ck, err := w.newestCheckpoint(files.ckpts)
 	if err != nil {
 		return err
 	}
 	var set *auditSet
-	skip := 0
+	base, skip := int64(0), 0
 	if ck != nil {
 		if ck.Dataset != name {
 			return fmt.Errorf("checkpoint names dataset %q", ck.Dataset)
@@ -666,63 +951,100 @@ func (s *Server) recoverStreamSet(name string) error {
 			return err
 		}
 		info.CheckpointBlocks = len(ck.Blocks)
-		skip = ck.WALLines
+		base, skip = ck.WALGen, ck.WALLines
 	} else {
 		set = s.emptyStreamSet(name)
 	}
-	lines, err := readWALEntries(walPath)
-	if err != nil {
-		return err
-	}
-	if skip > len(lines) {
-		// The checkpoint covers lines a crash mid-compaction already
-		// truncated; the state is complete without them.
-		skip = len(lines)
+	// The generations above the checkpoint, oldest first, then the live log.
+	var gens []int64
+	for _, g := range files.gens {
+		if g <= base {
+			continue
+		}
+		if want := base + int64(len(gens)) + 1; g != want {
+			return fmt.Errorf("sealed generation %d is missing (checkpoint covers %d, next on disk is %d)", want, base, g)
+		}
+		gens = append(gens, g)
 	}
 	conflicts := 0
 	var lastConflict error
-	for i, e := range lines[skip:] {
-		batch, perr := parseWALLine(name, e.line)
-		if perr != nil {
-			if skip+i == len(lines)-1 {
-				// Torn final line: the process died mid-append. The prefix
-				// is unusable; cut it off and warn — the feeder saw no 200
-				// for this batch and will re-ship it.
-				log.Printf("serve: wal %s: truncating torn final line at byte %d: %v", name, e.off, perr)
-				if terr := os.Truncate(walPath, e.off); terr != nil {
-					return fmt.Errorf("truncate torn tail: %w", terr)
-				}
-				info.Truncated = true
-				mWALTruncations.Inc()
-				break
-			}
-			return fmt.Errorf("wal line %d: %w", skip+i+1, perr)
-		}
-		// Replay rides the live apply path. A line that stops at a conflict
-		// is either the deterministic re-run of a 409 the live stream
-		// already answered or a batch applied twice; the log does not record
-		// which, so recovery counts and reports it rather than failing.
-		p, err := set.apply(batch)
+	replay := func(path string, first, live bool, label string) (int, error) {
+		lines, err := readWALEntries(path)
 		if err != nil {
-			conflicts++
-			lastConflict = err
-			mWALReplayConflicts.Inc()
+			return 0, err
 		}
-		info.WALBlocks += p.Appended
-		info.WALLines++
+		from := 0
+		if first {
+			// A legacy checkpoint covers a prefix of the first log; a crash
+			// mid-compaction may already have truncated some of it away.
+			from = min(skip, len(lines))
+		}
+		for i, e := range lines[from:] {
+			batch, perr := parseWALLine(name, e.line)
+			if perr != nil {
+				if live && from+i == len(lines)-1 {
+					// Torn final line: the process died mid-append. The prefix
+					// is unusable; cut it off and warn — the feeder saw no 200
+					// for this batch and will re-ship it.
+					log.Printf("serve: wal %s: truncating torn final line at byte %d: %v", name, e.off, perr)
+					if terr := os.Truncate(path, e.off); terr != nil {
+						return 0, fmt.Errorf("truncate torn tail: %w", terr)
+					}
+					info.Truncated = true
+					mWALTruncations.Inc()
+					return len(lines) - 1, nil
+				}
+				return 0, fmt.Errorf("%s line %d: %w", label, from+i+1, perr)
+			}
+			// Replay rides the live apply path. A line that stops at a
+			// conflict is either the deterministic re-run of a 409 the live
+			// stream already answered or a batch applied twice; the log does
+			// not record which, so recovery counts and reports it rather
+			// than failing.
+			p, err := set.apply(batch)
+			if err != nil {
+				conflicts++
+				lastConflict = err
+				mWALReplayConflicts.Inc()
+			}
+			info.WALBlocks += p.Appended
+			info.WALLines++
+		}
+		return len(lines), nil
+	}
+	for i, g := range gens {
+		if _, err := replay(w.genPath(g), i == 0, false, fmt.Sprintf("wal generation %d", g)); err != nil {
+			return err
+		}
+	}
+	liveLines, err := replay(w.livePath(), len(gens) == 0, true, "wal")
+	if err != nil {
+		return err
 	}
 	if conflicts > 0 {
 		log.Printf("serve: wal %s: %d of %d replayed lines stopped at a conflict (last: %v)", name, conflicts, info.WALLines, lastConflict)
 	}
-	w, err := s.openWAL(name)
-	if err != nil {
-		return err
+	if err := w.openLive(); err != nil {
+		return fmt.Errorf("wal %s: %w", name, err)
 	}
-	// The surviving file contents are exactly the skipped prefix plus the
-	// replayed suffix — all folded into the state we checkpoint next.
-	w.lines = skip + info.WALLines
 	set.wal = w
-	if err := s.checkpointSet(set); err != nil {
+	// Number the next seal past every generation any file names, and clean
+	// from the oldest file on disk.
+	w.lines = liveLines
+	w.gen = base + int64(len(gens))
+	w.published, w.cleaned = base, base
+	for _, g := range files.gens {
+		w.gen = max(w.gen, g)
+		w.cleaned = min(w.cleaned, g-1)
+	}
+	for _, g := range files.ckpts {
+		w.gen = max(w.gen, g)
+		w.cleaned = min(w.cleaned, g)
+	}
+	if files.tmp {
+		removeStale(w.ckptPath(0) + ".tmp")
+	}
+	if err := w.checkpointNow(set); err != nil {
 		return err
 	}
 	info.ElapsedMS = t.ms()
@@ -739,6 +1061,38 @@ func (s *Server) recoverStreamSet(name string) error {
 	return nil
 }
 
+// newestCheckpoint reads the newest of the set's checkpoints (generations
+// in descending order) that parses whole. A generation checkpoint that does
+// not parse is a write that a crash, or a copy taken mid-write, cut short:
+// it is skipped, and the generations it would have covered are still on
+// disk. The legacy checkpoint was published by rename, so it is never torn,
+// and failing to parse it fails recovery.
+func (w *setWAL) newestCheckpoint(gens []int64) (*walCheckpoint, error) {
+	for _, g := range gens {
+		path := w.ckptPath(g)
+		raw, err := os.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		var ck walCheckpoint
+		if err := json.Unmarshal(raw, &ck); err != nil {
+			if g == 0 {
+				return nil, fmt.Errorf("parse checkpoint: %w", err)
+			}
+			log.Printf("serve: wal %s: skipping unfinished checkpoint %s: %v", w.name, filepath.Base(path), err)
+			continue
+		}
+		if ck.WALGen != g {
+			return nil, fmt.Errorf("checkpoint %s records generation %d", filepath.Base(path), ck.WALGen)
+		}
+		return &ck, nil
+	}
+	return nil, nil
+}
+
 // parseWALLine decodes one logged IngestRequest into the batch it applies.
 func parseWALLine(name string, line []byte) (*stream.Batch, error) {
 	var req IngestRequest
@@ -751,15 +1105,10 @@ func parseWALLine(name string, line []byte) (*stream.Batch, error) {
 	return DecodeBatch(&req)
 }
 
-// checkpointSet compacts one set's WAL into a fresh checkpoint. Caller
-// holds set.mu (or has exclusive access during boot).
-func (s *Server) checkpointSet(set *auditSet) error {
-	return set.wal.writeCheckpoint(buildCheckpoint(set))
-}
-
-// Close checkpoints and closes every durable streaming set's WAL — the
-// graceful half of the durability story. A killed process never gets here
-// and relies on boot recovery instead; both paths are exercised by tests.
+// Close brings every durable streaming set's checkpoint up to date and
+// closes its WAL — the graceful half of the durability story. A killed
+// process never gets here and relies on boot recovery instead; both paths
+// are exercised by tests.
 func (s *Server) Close() error {
 	s.setsMu.RLock()
 	sets := make([]*auditSet, 0, len(s.order))
@@ -773,17 +1122,27 @@ func (s *Server) Close() error {
 			continue
 		}
 		set.mu.Lock()
-		if !set.wal.broken {
-			//lint:allow lockheld shutdown quiescence invariant: the final checkpoint must capture a set no in-flight ingest can still mutate, so it runs under set.mu even though it compacts the WAL on disk
-			if err := s.checkpointSet(set); err != nil && first == nil {
-				first = err
-			}
-		}
-		//lint:allow lockheld shutdown quiescence invariant: closing the WAL under set.mu guarantees no ingest holds a reference to a closed log file mid-append
-		if err := set.wal.close(); err != nil && first == nil {
+		//lint:allow lockheld shutdown quiescence invariant: the final checkpoint must capture a set no in-flight ingest can still mutate, and the log must close with no append mid-write, so both run under set.mu once the set's background checkpoint write has ended
+		err := set.wal.shutdown(set)
+		set.mu.Unlock()
+		if err != nil && first == nil {
 			first = err
 		}
-		set.mu.Unlock()
 	}
 	return first
+}
+
+// shutdown waits for the in-flight checkpoint write, writes the final
+// checkpoint unless the log is broken, and closes the live log. Caller
+// holds set.mu.
+func (w *setWAL) shutdown(set *auditSet) error {
+	w.wait()
+	var err error
+	if !w.broken {
+		err = w.checkpointNow(set)
+	}
+	if cerr := w.close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -339,6 +339,9 @@ func TestWALCheckpointRetentionInterplay(t *testing.T) {
 			}
 		}
 	}
+	// A checkpoint write still running when the test ends would race the
+	// removal of its temporary directory.
+	settleWrites(t, sB)
 }
 
 // TestLegacyCheckpointRecovers pins checkpoint compatibility: a checkpoint
@@ -359,8 +362,20 @@ func TestLegacyCheckpointRecovers(t *testing.T) {
 	}
 	feedBatches(t, sA.Handler(), batches)
 	// kill -9: no Close, so recovery replays the WAL past the checkpoint.
-
-	path := filepath.Join(dir, "live"+ckptSuffix)
+	// The newest checkpoint is the one to doctor, so its write must end.
+	settleWrites(t, sA)
+	files, err := scanStreamDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := int64(0)
+	for _, g := range files["live"].ckpts {
+		newest = max(newest, g)
+	}
+	if newest == 0 {
+		t.Fatal("no checkpoint was written")
+	}
+	path := sA.newWAL("live").ckptPath(newest)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
