@@ -11,7 +11,8 @@ GO ?= go
 # removes it when it exits, so concurrent runs never share a path; a
 # daemon's exit trap runs with `set +e`, since its kill may find the daemon
 # already gone, and waits for the daemon before it removes the directory:
-# a terminated chainauditd still writes its final checkpoints there.
+# a terminated chainauditd still finishes a checkpoint write in flight and
+# closes its logs there.
 check: vet build lint lint-fixtures race smoke-metrics smoke-chaos smoke-serve smoke-stream smoke-live smoke-crash smoke-multi bench-short
 
 # lint runs the determinism & concurrency/durability analyzer suite
@@ -52,8 +53,12 @@ vet:
 test:
 	$(GO) test ./...
 
+# race also runs internal/serve twice in one process: a durable test that
+# leaks a background checkpoint write, or that passes only on the first run
+# in a process, fails the second run.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=2 ./internal/serve
 
 # bench runs perfbench, the one performance ledger (perfbench/README.md):
 # ten runs of every workload with their spreads, bounds and per-layer

@@ -170,8 +170,9 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		defer cancel()
 		fmt.Fprintln(logw, "chainauditd: shutting down")
 		serr := hs.Shutdown(sctx)
-		// Graceful exit checkpoints and closes every durable streaming set so
-		// the next boot replays a compact log instead of the full WAL.
+		// Graceful exit waits for each durable streaming set's checkpoint
+		// write in flight and syncs and closes its WAL; it writes no
+		// checkpoint, so the next boot recovers as it would after a kill.
 		if cerr := srv.Close(); serr == nil {
 			serr = cerr
 		}

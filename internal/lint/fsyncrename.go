@@ -7,12 +7,14 @@ import (
 
 // FsyncRename rejects an os.Rename whose source bytes were written earlier
 // in the same function with no (*os.File).Sync in between. Rename is the
-// atomic-publish step of the tmp+fsync+rename discipline the streaming
-// checkpoints depend on: the kernel may reorder the data writes after the
-// directory update, so a crash right after the rename can publish an empty
-// or truncated file under the final name — exactly the torn-checkpoint
-// corruption the WAL recovery path exists to prevent. The Sync before the
-// rename is what pins the data ahead of the publish.
+// atomic-publish step of the tmp+fsync+rename discipline: the kernel may
+// reorder the data writes after the directory update, so a crash right
+// after the rename can publish an empty or truncated file under the final
+// name. The Sync before the rename is what pins the data ahead of the
+// publish. Streaming checkpoints are published by creating a new name, not
+// by rename (DESIGN.md §13), and the WAL seal's rename is a pure move, so
+// no code in the module renames a file it wrote: the rule stays as a guard
+// against a tmp+rename publish coming back without its Sync.
 //
 // The check is per function body (nested literals are separate scopes):
 // any file-write operation (os.WriteFile/Create/OpenFile or an (*os.File)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -290,8 +291,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, api string) {
 		resp.ElapsedMS = t.ms()
 		failIngest(w, status, &resp)
 	}
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeOne(r.Body, &req); err != nil {
 		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -349,6 +349,24 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, api string) {
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// decodeOne decodes exactly one JSON value from r into v. Anything but
+// whitespace after the value is an error: the WAL logs the decoded value,
+// so trailing bytes would otherwise be acknowledged and silently dropped.
+func decodeOne(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err == nil:
+		return errors.New("trailing data after the JSON value")
+	default:
+		return fmt.Errorf("trailing data after the JSON value: %w", err)
+	}
 }
 
 // ingestLocked is the critical section of ingest: WAL append (and the seal

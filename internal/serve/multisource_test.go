@@ -197,19 +197,22 @@ func TestV2FrameWireCompat(t *testing.T) {
 
 // TestWALReplayPreservesAttribution drives attributed batches into a durable
 // set, kills the server, and demands the per-source ledger back — first from
-// WAL-line replay (checkpoints held off), then from the recovery checkpoint
-// alone (ckptSrcSeen round trip), with healthz reporting the same sources
+// WAL-line replay (checkpoints held off), then, after one more batch seals
+// the log and its checkpoint is written, from that checkpoint alone
+// (ckptSrcSeen round trip), with healthz reporting the same sources
 // throughout.
 func TestWALReplayPreservesAttribution(t *testing.T) {
 	dir := t.TempDir()
-	durable := func(cfg *Config) {
-		cfg.StreamDir = dir
-		cfg.CheckpointEvery = 1000 // keep every attributed line in the WAL
+	durableEvery := func(every int) func(*Config) {
+		return func(cfg *Config) {
+			cfg.StreamDir = dir
+			cfg.CheckpointEvery = every
+		}
 	}
-	sA, c, _ := streamFixtureCfg(t, durable)
+	sA, c, _ := streamFixtureCfg(t, durableEvery(1000)) // keep every attributed line in the WAL
 	batches := mkIngestBatches(c, "live", 2)
 	if len(batches) < 4 {
-		t.Skipf("fixture too small: %d batches", len(batches))
+		t.Fatalf("fixture too small: %d batches", len(batches))
 	}
 	for i := range batches {
 		batches[i].Source = "s1"
@@ -219,7 +222,8 @@ func TestWALReplayPreservesAttribution(t *testing.T) {
 	}
 	// One frame-level override rides the WAL alongside the request defaults.
 	batches[0].Mempool[0].Source = "s3"
-	feedV2(t, sA.Handler(), batches)
+	n := len(batches) - 1
+	feedV2(t, sA.Handler(), batches[:n])
 
 	setA, err := sA.lookupSet("live")
 	if err != nil {
@@ -232,10 +236,11 @@ func TestWALReplayPreservesAttribution(t *testing.T) {
 	}
 	// kill -9: no Close.
 
-	sB, _, _ := streamFixtureCfg(t, durable)
+	// The restarted server seals its log at the next batch.
+	sB, _, _ := streamFixtureCfg(t, durableEvery(len(batches)))
 	hz, i := healthFor(t, sB.Handler(), "live")
-	if rec := hz.Datasets[i].Recovery; rec == nil || rec.WALLines != len(batches) {
-		t.Fatalf("recovery = %+v, want %d replayed WAL lines", rec, len(batches))
+	if rec := hz.Datasets[i].Recovery; rec == nil || rec.WALLines != n {
+		t.Fatalf("recovery = %+v, want %d replayed WAL lines", rec, n)
 	}
 	setB, err := sB.lookupSet("live")
 	if err != nil {
@@ -250,23 +255,22 @@ func TestWALReplayPreservesAttribution(t *testing.T) {
 	if got := healthSources(t, sB.Handler(), "live"); !reflect.DeepEqual(got, wantSources) {
 		t.Errorf("healthz sources after replay = %v", got)
 	}
-	if err := sB.Close(); err != nil {
-		t.Fatalf("graceful close: %v", err)
-	}
+	feedV2(t, sB.Handler(), batches[n:])
+	settleWrites(t, sB)
+	wantLedger = setB.stream.Index().SourceSeenTimes()
+	// kill -9 again: the checkpoint the seal wrote covers the whole log.
 
-	// Boot recovery checkpointed and truncated the log, so this restart
-	// rebuilds the ledger from the checkpoint alone.
-	sC, _, _ := streamFixtureCfg(t, durable)
+	sC, _, _ := streamFixtureCfg(t, durableEvery(1000))
 	hz, i = healthFor(t, sC.Handler(), "live")
-	if rec := hz.Datasets[i].Recovery; rec == nil || rec.WALLines != 0 {
-		t.Fatalf("second recovery = %+v, want zero WAL lines", rec)
+	if rec := hz.Datasets[i].Recovery; rec == nil || rec.CheckpointBlocks == 0 || rec.WALLines != 0 {
+		t.Fatalf("second recovery = %+v, want a checkpoint restore and zero WAL lines", rec)
 	}
 	setC, err := sC.lookupSet("live")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(setC.stream.Index().SourceSeenTimes(), wantLedger) {
-		t.Error("checkpoint-restored ledger diverged from pre-crash ledger")
+		t.Error("checkpoint-restored ledger diverged from the sealed ledger")
 	}
 	if got := setC.stream.Index().Sources(); !reflect.DeepEqual(got, wantSources) {
 		t.Errorf("checkpoint-restored Sources() = %v, want %v", got, wantSources)

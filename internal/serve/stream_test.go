@@ -69,6 +69,12 @@ func streamFixtureCfg(t *testing.T, mutate func(*Config)) (*Server, *chain.Chain
 	if err != nil {
 		t.Fatal(err)
 	}
+	if cfg.StreamDir != "" {
+		// A checkpoint write still running when the test ends would race
+		// the removal of the stream directory, which the test made before
+		// the server, so this cleanup runs first.
+		t.Cleanup(func() { settleWrites(t, s) })
+	}
 	return s, c, &now
 }
 
@@ -278,6 +284,28 @@ func TestIngestErrors(t *testing.T) {
 	h.ServeHTTP(rr, req)
 	if rr.Code != http.StatusBadRequest {
 		t.Errorf("malformed body = %d", rr.Code)
+	}
+	// Trailing data after the JSON value: the WAL logs the decoded value,
+	// so anything after it would be dropped silently. A trailing newline,
+	// as an Encoder writes, is whitespace and stays legal.
+	one, err := json.Marshal(IngestRequest{Dataset: "live"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tail string
+		want int
+	}{
+		{`{"dataset":"live"}`, http.StatusBadRequest}, {"x", http.StatusBadRequest},
+		{"]", http.StatusBadRequest}, {"\n{", http.StatusBadRequest},
+		{"", http.StatusOK}, {"\n", http.StatusOK}, {" \r\n\t", http.StatusOK},
+	} {
+		req := httptest.NewRequest("POST", "/v1/ingest", bytes.NewReader(append(append([]byte{}, one...), c.tail...)))
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		if rr.Code != c.want {
+			t.Errorf("body with trailing %q = %d, want %d: %s", c.tail, rr.Code, c.want, rr.Body.String())
+		}
 	}
 	// Missing dataset name.
 	if rr := postJSON(t, h, "/v1/ingest", IngestRequest{}); rr.Code != http.StatusBadRequest {

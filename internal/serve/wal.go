@@ -110,14 +110,13 @@ func fnv64a(s string) uint64 {
 //	<set>.wal       the live log: the accepted batches since the newest seal
 //	<set>.wal.<g>   sealed generation g ≥ 1: the live log as the g-th seal left it
 //	<set>.ckpt.<g>  a checkpoint ("wal_gen": g) covering every generation ≤ g
-//	<set>.ckpt      a checkpoint from before generations, read but never
-//	                written: its "wal_lines" covers a prefix of the first log
 //
-// Only a seal, Close and recovery delete files, each under the set's mu (or
-// with exclusive access at boot), and each deletes only what a checkpoint
-// already written in full covers. So the directory is a valid crash state
-// at every instant, and so is a file-by-file copy of it taken while no
-// ingest is in flight.
+// ckptWrite.run, the background write a seal starts, is the only writer of
+// checkpoints. Only a seal and recovery delete files, the one under the
+// set's mu and the other with exclusive access at boot, and each deletes
+// only what a checkpoint already written in full covers. So the directory
+// is a valid crash state at every instant, and so is a file-by-file copy of
+// it taken while no ingest is in flight.
 
 // setWAL is one streaming set's write-ahead log: JSONL files of accepted
 // IngestRequest lines — the exact wire format cmd/streamfeed replays — cut
@@ -167,14 +166,8 @@ func (w *setWAL) livePath() string { return filepath.Join(w.dir, w.name+walSuffi
 
 func (w *setWAL) genPath(g int64) string { return w.livePath() + "." + strconv.FormatInt(g, 10) }
 
-// ckptPath names generation g's checkpoint; generation 0 is the legacy
-// <set>.ckpt.
 func (w *setWAL) ckptPath(g int64) string {
-	p := filepath.Join(w.dir, w.name+ckptSuffix)
-	if g == 0 {
-		return p
-	}
-	return p + "." + strconv.FormatInt(g, 10)
+	return filepath.Join(w.dir, w.name+ckptSuffix+"."+strconv.FormatInt(g, 10))
 }
 
 // openWAL opens (creating if needed) the named set's live log for appends.
@@ -325,14 +318,16 @@ func (w *setWAL) seal() error {
 }
 
 // clean deletes the files the newest published checkpoint covers: the
-// sealed generations up to it and the checkpoints before it, the legacy
-// <set>.ckpt included. It never deletes the published checkpoint itself
-// or anything newer, so a crash at any point leaves a recoverable set.
-// Losing a deletion to a crash is harmless: recovery deletes again.
+// sealed generations up to it and the checkpoints before it. It never
+// deletes the published checkpoint itself or anything newer, so a crash at
+// any point leaves a recoverable set. Losing a deletion to a crash is
+// harmless: recovery deletes again.
 func (w *setWAL) clean() {
 	for g := w.cleaned; g < w.published; g++ {
 		removeStale(w.genPath(g + 1))
-		removeStale(w.ckptPath(g))
+		if g > 0 {
+			removeStale(w.ckptPath(g))
+		}
 	}
 	w.cleaned = w.published
 }
@@ -443,31 +438,11 @@ func (w *setWAL) persist(ck *ckptState) error {
 	return nil
 }
 
-// checkpointNow brings the set's checkpoint up to date synchronously: it
-// seals a non-empty live log, writes the newest generation's checkpoint
-// unless one is already published, and cleans. Close and recovery call it
-// with no write in flight. Caller holds set.mu (or has exclusive access
-// during boot).
-func (w *setWAL) checkpointNow(set *auditSet) error {
-	if w.broken {
-		return fmt.Errorf("wal %s: broken; checkpoint refused", w.name)
-	}
-	if w.lines > 0 {
-		if err := w.seal(); err != nil {
-			return fmt.Errorf("wal %s: seal: %w", w.name, err)
-		}
-	}
-	if w.published < w.gen {
-		if err := w.persist(captureCheckpoint(set, w.gen)); err != nil {
-			return err
-		}
-		w.published = w.gen
-	}
-	w.clean()
-	return nil
-}
-
+// close waits for the in-flight checkpoint write, then syncs (unless the
+// log is broken or the policy is off) and closes the live log. Caller holds
+// set.mu.
 func (w *setWAL) close() error {
+	w.wait()
 	if w.f == nil {
 		return nil
 	}
@@ -491,9 +466,6 @@ func (w *setWAL) close() error {
 type walCheckpoint struct {
 	API     string `json:"api"`
 	Dataset string `json:"dataset"`
-	// WALLines is how many lines of the first replayed log a legacy
-	// checkpoint already covers; checkpoints with a generation write 0.
-	WALLines int `json:"wal_lines"`
 	// WALGen is the newest sealed generation the checkpoint covers: recovery
 	// replays only the generations above it, then the live log.
 	WALGen      int64         `json:"wal_gen,omitempty"`
@@ -713,9 +685,7 @@ func (c *ckptState) encodeTo(w io.Writer) error {
 
 // restoreCheckpoint rebuilds a streaming set from its checkpoint: retained
 // blocks re-ingest through the normal index path and cumulative aggregates
-// restore wholesale. Checkpoints written before audits read only the index
-// may also carry win_snapshots, last_tip, and tip_seen; nothing reads them,
-// so decoding ignores them.
+// restore wholesale.
 func (s *Server) restoreCheckpoint(ck *walCheckpoint) (*auditSet, error) {
 	st := index.RestoreState{
 		Ingested: ck.Ingested,
@@ -845,13 +815,16 @@ func readWALEntries(path string) ([]walEntry, error) {
 type streamFiles struct {
 	live  bool
 	gens  []int64 // sealed generations
-	ckpts []int64 // checkpoint generations; 0 is the legacy <set>.ckpt
-	tmp   bool    // a legacy <set>.ckpt.tmp that a crash left behind
+	ckpts []int64 // checkpoint generations
 }
 
 // scanStreamDir groups the stream directory's files by set. A name maps to
 // one set and role only: a generation suffix is a canonical positive
-// integer after the last dot, and the role suffix comes before it.
+// integer after the last dot, and the role suffix comes before it. A
+// checkpoint with no generation, <set>.ckpt, is from the layout before
+// sealed generations: it covers a prefix of a log this version cannot
+// tell apart, so it fails the scan rather than being skipped, which would
+// silently drop that prefix.
 func scanStreamDir(dir string) (map[string]*streamFiles, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -881,24 +854,19 @@ func scanStreamDir(dir string) (map[string]*streamFiles, error) {
 		case strings.HasSuffix(name, ckptSuffix):
 			set = strings.TrimSuffix(name, ckptSuffix)
 			add = func(f *streamFiles) { f.ckpts = append(f.ckpts, gen) }
-		case gen == 0 && strings.HasSuffix(name, ckptSuffix+".tmp"):
-			set = strings.TrimSuffix(name, ckptSuffix+".tmp")
-			add = func(f *streamFiles) { f.tmp = true }
 		default:
 			continue // unrelated files
 		}
 		if !validStreamName(set) {
 			continue
 		}
+		if gen == 0 && strings.HasSuffix(name, ckptSuffix) {
+			return nil, fmt.Errorf("%s: checkpoint without a WAL generation, from before sealed generations; this version cannot recover it", filepath.Join(dir, e.Name()))
+		}
 		if sets[set] == nil {
 			sets[set] = &streamFiles{}
 		}
 		add(sets[set])
-	}
-	for set, f := range sets {
-		if !f.live && len(f.gens) == 0 && len(f.ckpts) == 0 {
-			delete(sets, set) // a leftover tmp alone is no set
-		}
 	}
 	return sets, nil
 }
@@ -906,9 +874,8 @@ func scanStreamDir(dir string) (map[string]*streamFiles, error) {
 // recoverStreams rebuilds every streaming set found in Config.StreamDir:
 // checkpoint restore, then replay of the newer generations and the live
 // log through the ingest apply path, tolerating a torn final line of the
-// live log (truncate-and-warn, never crash). Each recovered set finishes
-// with an up-to-date checkpoint, so the next boot replays nothing that
-// this one already folded.
+// live log (truncate-and-warn, never crash). Recovery writes no checkpoint:
+// the set's next seal checkpoints everything it replayed.
 func (s *Server) recoverStreams() error {
 	if err := os.MkdirAll(s.cfg.StreamDir, 0o755); err != nil {
 		return fmt.Errorf("serve: stream dir: %w", err)
@@ -942,7 +909,7 @@ func (s *Server) recoverStreamSet(name string, files *streamFiles) error {
 		return err
 	}
 	var set *auditSet
-	base, skip := int64(0), 0
+	base := int64(0)
 	if ck != nil {
 		if ck.Dataset != name {
 			return fmt.Errorf("checkpoint names dataset %q", ck.Dataset)
@@ -951,7 +918,7 @@ func (s *Server) recoverStreamSet(name string, files *streamFiles) error {
 			return err
 		}
 		info.CheckpointBlocks = len(ck.Blocks)
-		base, skip = ck.WALGen, ck.WALLines
+		base = ck.WALGen
 	} else {
 		set = s.emptyStreamSet(name)
 	}
@@ -968,21 +935,15 @@ func (s *Server) recoverStreamSet(name string, files *streamFiles) error {
 	}
 	conflicts := 0
 	var lastConflict error
-	replay := func(path string, first, live bool, label string) (int, error) {
+	replay := func(path string, live bool, label string) (int, error) {
 		lines, err := readWALEntries(path)
 		if err != nil {
 			return 0, err
 		}
-		from := 0
-		if first {
-			// A legacy checkpoint covers a prefix of the first log; a crash
-			// mid-compaction may already have truncated some of it away.
-			from = min(skip, len(lines))
-		}
-		for i, e := range lines[from:] {
+		for i, e := range lines {
 			batch, perr := parseWALLine(name, e.line)
 			if perr != nil {
-				if live && from+i == len(lines)-1 {
+				if live && i == len(lines)-1 {
 					// Torn final line: the process died mid-append. The prefix
 					// is unusable; cut it off and warn — the feeder saw no 200
 					// for this batch and will re-ship it.
@@ -994,7 +955,7 @@ func (s *Server) recoverStreamSet(name string, files *streamFiles) error {
 					mWALTruncations.Inc()
 					return len(lines) - 1, nil
 				}
-				return 0, fmt.Errorf("%s line %d: %w", label, from+i+1, perr)
+				return 0, fmt.Errorf("%s line %d: %w", label, i+1, perr)
 			}
 			// Replay rides the live apply path. A line that stops at a
 			// conflict is either the deterministic re-run of a 409 the live
@@ -1012,12 +973,12 @@ func (s *Server) recoverStreamSet(name string, files *streamFiles) error {
 		}
 		return len(lines), nil
 	}
-	for i, g := range gens {
-		if _, err := replay(w.genPath(g), i == 0, false, fmt.Sprintf("wal generation %d", g)); err != nil {
+	for _, g := range gens {
+		if _, err := replay(w.genPath(g), false, fmt.Sprintf("wal generation %d", g)); err != nil {
 			return err
 		}
 	}
-	liveLines, err := replay(w.livePath(), len(gens) == 0, true, "wal")
+	liveLines, err := replay(w.livePath(), true, "wal")
 	if err != nil {
 		return err
 	}
@@ -1028,8 +989,8 @@ func (s *Server) recoverStreamSet(name string, files *streamFiles) error {
 		return fmt.Errorf("wal %s: %w", name, err)
 	}
 	set.wal = w
-	// Number the next seal past every generation any file names, and clean
-	// from the oldest file on disk.
+	// Number the next seal past every generation any file names, and delete
+	// what the restored checkpoint covers, from the oldest file on disk.
 	w.lines = liveLines
 	w.gen = base + int64(len(gens))
 	w.published, w.cleaned = base, base
@@ -1041,12 +1002,7 @@ func (s *Server) recoverStreamSet(name string, files *streamFiles) error {
 		w.gen = max(w.gen, g)
 		w.cleaned = min(w.cleaned, g)
 	}
-	if files.tmp {
-		removeStale(w.ckptPath(0) + ".tmp")
-	}
-	if err := w.checkpointNow(set); err != nil {
-		return err
-	}
+	w.clean()
 	info.ElapsedMS = t.ms()
 	set.recovery = info
 	mWALRecSets.Inc()
@@ -1062,11 +1018,9 @@ func (s *Server) recoverStreamSet(name string, files *streamFiles) error {
 }
 
 // newestCheckpoint reads the newest of the set's checkpoints (generations
-// in descending order) that parses whole. A generation checkpoint that does
-// not parse is a write that a crash, or a copy taken mid-write, cut short:
-// it is skipped, and the generations it would have covered are still on
-// disk. The legacy checkpoint was published by rename, so it is never torn,
-// and failing to parse it fails recovery.
+// in descending order) that parses whole. A checkpoint that does not parse
+// is a write that a crash, or a copy taken mid-write, cut short: it is
+// skipped, and the generations it would have covered are still on disk.
 func (w *setWAL) newestCheckpoint(gens []int64) (*walCheckpoint, error) {
 	for _, g := range gens {
 		path := w.ckptPath(g)
@@ -1079,9 +1033,6 @@ func (w *setWAL) newestCheckpoint(gens []int64) (*walCheckpoint, error) {
 		}
 		var ck walCheckpoint
 		if err := json.Unmarshal(raw, &ck); err != nil {
-			if g == 0 {
-				return nil, fmt.Errorf("parse checkpoint: %w", err)
-			}
 			log.Printf("serve: wal %s: skipping unfinished checkpoint %s: %v", w.name, filepath.Base(path), err)
 			continue
 		}
@@ -1105,10 +1056,10 @@ func parseWALLine(name string, line []byte) (*stream.Batch, error) {
 	return DecodeBatch(&req)
 }
 
-// Close brings every durable streaming set's checkpoint up to date and
-// closes its WAL — the graceful half of the durability story. A killed
-// process never gets here and relies on boot recovery instead; both paths
-// are exercised by tests.
+// Close waits for every durable streaming set's checkpoint write and syncs
+// and closes its WAL. It writes no checkpoint, so a graceful stop leaves
+// the same kind of directory a kill does, and the next boot recovers both
+// the same way.
 func (s *Server) Close() error {
 	s.setsMu.RLock()
 	sets := make([]*auditSet, 0, len(s.order))
@@ -1122,27 +1073,12 @@ func (s *Server) Close() error {
 			continue
 		}
 		set.mu.Lock()
-		//lint:allow lockheld shutdown quiescence invariant: the final checkpoint must capture a set no in-flight ingest can still mutate, and the log must close with no append mid-write, so both run under set.mu once the set's background checkpoint write has ended
-		err := set.wal.shutdown(set)
+		//lint:allow lockheld shutdown quiescence invariant: the log must close with no append mid-write and no checkpoint write still in flight, and set.mu is what orders both against ingest, so the wait for the set's background write and the final sync run under it
+		err := set.wal.close()
 		set.mu.Unlock()
 		if err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
-}
-
-// shutdown waits for the in-flight checkpoint write, writes the final
-// checkpoint unless the log is broken, and closes the live log. Caller
-// holds set.mu.
-func (w *setWAL) shutdown(set *auditSet) error {
-	w.wait()
-	var err error
-	if !w.broken {
-		err = w.checkpointNow(set)
-	}
-	if cerr := w.close(); err == nil {
-		err = cerr
-	}
-	return err
 }

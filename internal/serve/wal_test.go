@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -117,7 +118,7 @@ func TestWALCrashEquivalence(t *testing.T) {
 	const bs = 2
 	batches := mkIngestBatches(c, "live", bs)
 	if len(batches) < 6 {
-		t.Skipf("fixture too small: %d batches", len(batches))
+		t.Fatalf("fixture too small: %d batches", len(batches))
 	}
 	cut := len(batches) / 2
 
@@ -163,16 +164,22 @@ func TestWALCrashEquivalence(t *testing.T) {
 		t.Errorf("final snapshots = %d, want %d", hz.Datasets[i].Snapshots, len(batches))
 	}
 
-	// A second restart over the now-complete directory is a no-op replay:
-	// the recovery checkpoint normalized everything, so the WAL is empty and
-	// the audits still match.
+	// A graceful stop writes no checkpoint and deletes nothing, so a second
+	// restart recovers the complete directory exactly as the first one
+	// recovered a killed process's: the newest checkpoint plus the log
+	// above it, and the audits still match.
+	settleWrites(t, sB)
+	files := dirFiles(t, dir)
 	if err := sB.Close(); err != nil {
 		t.Fatalf("graceful close: %v", err)
 	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, files) {
+		t.Error("graceful close changed the stream directory")
+	}
 	sC, _, _ := streamFixtureCfg(t, durable)
 	hz, i = healthFor(t, sC.Handler(), "live")
-	if rec := hz.Datasets[i].Recovery; rec == nil || rec.WALLines != 0 {
-		t.Errorf("second recovery replayed %+v, want zero WAL lines", rec)
+	if rec := hz.Datasets[i].Recovery; rec == nil || rec.CheckpointBlocks == 0 || rec.CheckpointBlocks+rec.WALBlocks != c.Len() {
+		t.Errorf("second recovery = %+v, want a checkpoint and the log above it to cover all %d blocks", rec, c.Len())
 	}
 	got = auditTexts(t, sC.Handler(), "live", 20)
 	for k, w := range want {
@@ -195,7 +202,7 @@ func TestWALTornFinalLine(t *testing.T) {
 	sA, c, _ := streamFixtureCfg(t, durable)
 	batches := mkIngestBatches(c, "live", 4)
 	if len(batches) < 4 {
-		t.Skipf("fixture too small: %d batches", len(batches))
+		t.Fatalf("fixture too small: %d batches", len(batches))
 	}
 	feedBatches(t, sA.Handler(), batches[:3])
 
@@ -272,7 +279,7 @@ func TestWALCheckpointRetentionInterplay(t *testing.T) {
 	sA, c, _ := streamFixtureCfg(t, durable)
 	batches := mkIngestBatches(c, "live", 1) // one block per batch: many compactions
 	if len(batches) <= retain+4 {
-		t.Skipf("fixture too small: %d batches", len(batches))
+		t.Fatalf("fixture too small: %d batches", len(batches))
 	}
 	cut := 2 * len(batches) / 3
 	feedBatches(t, sA.Handler(), batches[:cut])
@@ -339,69 +346,6 @@ func TestWALCheckpointRetentionInterplay(t *testing.T) {
 			}
 		}
 	}
-	// A checkpoint write still running when the test ends would race the
-	// removal of its temporary directory.
-	settleWrites(t, sB)
-}
-
-// TestLegacyCheckpointRecovers pins checkpoint compatibility: a checkpoint
-// in the earlier format, which also carried the window auditor's snapshot
-// bookkeeping (win_snapshots, last_tip, tip_seen), still recovers — with
-// its WAL suffix replayed — to audits byte-identical to a set that never
-// restarted.
-func TestLegacyCheckpointRecovers(t *testing.T) {
-	dir := t.TempDir()
-	durable := func(cfg *Config) {
-		cfg.StreamDir = dir
-		cfg.CheckpointEvery = 3
-	}
-	sA, c, _ := streamFixtureCfg(t, durable)
-	batches := mkIngestBatches(c, "live", 2)
-	if len(batches) < 8 {
-		t.Skipf("fixture too small: %d batches", len(batches))
-	}
-	feedBatches(t, sA.Handler(), batches)
-	// kill -9: no Close, so recovery replays the WAL past the checkpoint.
-	// The newest checkpoint is the one to doctor, so its write must end.
-	settleWrites(t, sA)
-	files, err := scanStreamDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newest := int64(0)
-	for _, g := range files["live"].ckpts {
-		newest = max(newest, g)
-	}
-	if newest == 0 {
-		t.Fatal("no checkpoint was written")
-	}
-	path := sA.newWAL("live").ckptPath(newest)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := bytes.Replace(raw, []byte(`,"blocks":[`), []byte(fmt.Sprintf(
-		`,"win_snapshots":%d,"last_tip":%d,"tip_seen":true,"blocks":[`, len(batches), c.Tip().Height)), 1)
-	if bytes.Equal(legacy, raw) {
-		t.Fatal("checkpoint has no blocks field to anchor the legacy fields")
-	}
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	sB, _, _ := streamFixtureCfg(t, durable)
-	sRef, _, _ := streamFixture(t)
-	feedBatches(t, sRef.Handler(), batches)
-	want, got := auditTexts(t, sRef.Handler(), "live", 8), auditTexts(t, sB.Handler(), "live", 8)
-	for k := range want {
-		if got[k] != want[k] {
-			t.Errorf("%s: legacy-checkpoint recovery diverged from uninterrupted:\n--- uninterrupted ---\n%s--- recovered ---\n%s", k, want[k], got[k])
-		}
-	}
-	hz, i := healthFor(t, sB.Handler(), "live")
-	if rec := hz.Datasets[i]; rec.Recovery == nil || rec.Recovery.CheckpointBlocks == 0 || rec.Snapshots != int64(len(batches)) {
-		t.Errorf("recovered set: recovery %+v snapshots %d, want a checkpoint restore and %d snapshots", rec.Recovery, rec.Snapshots, len(batches))
-	}
 }
 
 // TestWALChaosCrashRestartLoop runs the feed under injected WAL faults: torn
@@ -420,7 +364,7 @@ func TestWALChaosCrashRestartLoop(t *testing.T) {
 	h := srv.Handler()
 	batches := mkIngestBatches(c, "live", 2)
 	if len(batches) < 8 {
-		t.Skipf("fixture too small: %d batches", len(batches))
+		t.Fatalf("fixture too small: %d batches", len(batches))
 	}
 
 	restarts := 0

@@ -9,11 +9,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -67,6 +70,16 @@ func ingestHeld(t *testing.T, s *Server, req IngestRequest) *ckptWrite {
 	if ck == nil {
 		t.Fatal("the batch did not seal the log")
 	}
+	t.Cleanup(func() {
+		select {
+		case <-ck.done:
+		default:
+			// The test never ran the write, as when the process dies before
+			// it starts; end it so that settling the server's writes returns.
+			ck.err = errors.New("killed before the write started")
+			close(ck.done)
+		}
+	})
 	return ck
 }
 
@@ -77,34 +90,90 @@ func exists(path string) bool {
 
 // copyFiles copies dir's files one by one into a fresh directory, the way
 // a backup tool or perfbench's probe does. Any file vanishing mid-copy
-// fails the test: only a seal, Close or recovery may delete, and none runs.
+// fails the test: only a seal or recovery may delete, and neither runs.
 func copyFiles(t *testing.T, dir string) string {
 	t.Helper()
 	dst := t.TempDir()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), raw, 0o644); err != nil {
+	for name, raw := range dirFiles(t, dir) {
+		if err := os.WriteFile(filepath.Join(dst, name), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return dst
 }
 
-// recoverAndFinish boots a server over dir, checks what recovery reports,
-// ships rest, and compares the set with the uninterrupted reference.
+// dirFiles reads every file in dir, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = raw
+	}
+	return out
+}
+
+// coveredBy reports whether checkpoint gen covers the set "live"'s file
+// name: a sealed generation up to gen or a checkpoint before it.
+func coveredBy(name string, gen int64) bool {
+	for prefix, newest := range map[string]int64{"live.wal.": gen, "live.ckpt.": gen - 1} {
+		if rest, ok := strings.CutPrefix(name, prefix); ok {
+			g, err := strconv.ParseInt(rest, 10, 64)
+			return err == nil && g <= newest
+		}
+	}
+	return false
+}
+
+// bootOnlyTrims boots a server over dir, as a restart would, and fails
+// unless the boot left every file's bytes as they were but for the two
+// changes recovery may make: cutting a torn tail off the live log and
+// deleting what the restored checkpoint covers. It writes no checkpoint.
+func bootOnlyTrims(t *testing.T, dir string, every int) *Server {
+	t.Helper()
+	before := dirFiles(t, dir)
+	s := reopenAt(t, dir, every)
+	after := dirFiles(t, dir)
+	set, err := s.lookupSet("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.mu.Lock()
+	restored := set.wal.published
+	set.mu.Unlock()
+	truncated := recoveryOf(t, s).Truncated
+	for name, raw := range after {
+		old, ok := before[name]
+		switch {
+		case !ok:
+			t.Errorf("boot created %s", name)
+		case name == "live"+walSuffix && truncated && len(raw) < len(old) && bytes.HasPrefix(old, raw):
+			// the torn tail, cut off
+		case !bytes.Equal(raw, old):
+			t.Errorf("boot changed the bytes of %s", name)
+		}
+	}
+	for name := range before {
+		if _, ok := after[name]; !ok && !coveredBy(name, restored) {
+			t.Errorf("boot deleted %s, which the restored checkpoint %d does not cover", name, restored)
+		}
+	}
+	return s
+}
+
+// recoverAndFinish boots a server over dir, checks that the boot wrote
+// nothing, ships rest, and compares the set with the uninterrupted
+// reference.
 func recoverAndFinish(t *testing.T, dir string, every int, rest []IngestRequest, wantFP string, want map[string]string) *Server {
 	t.Helper()
-	s, _, _ := streamFixtureCfg(t, func(cfg *Config) {
-		cfg.StreamDir = dir
-		cfg.CheckpointEvery = every
-	})
+	s := bootOnlyTrims(t, dir, every)
 	feedBatches(t, s.Handler(), rest)
 	hz, i := healthFor(t, s.Handler(), "live")
 	if got := hz.Datasets[i].Fingerprint; got != wantFP {
@@ -116,9 +185,6 @@ func recoverAndFinish(t *testing.T, dir string, every int, rest []IngestRequest,
 			t.Errorf("%s: recovered audit diverged from uninterrupted:\n--- uninterrupted ---\n%s--- recovered ---\n%s", k, w, got[k])
 		}
 	}
-	// A write still running when the test ends would race the removal of
-	// its temporary directory.
-	settleWrites(t, s)
 	return s
 }
 
@@ -137,7 +203,7 @@ func TestWALGenerationCrashStates(t *testing.T) {
 	sRef, c, _ := streamFixture(t)
 	batches := mkIngestBatches(c, "live", 2)
 	if len(batches) < 8 {
-		t.Skipf("fixture too small: %d batches", len(batches))
+		t.Fatalf("fixture too small: %d batches", len(batches))
 	}
 	last := feedBatches(t, sRef.Handler(), batches)
 	want := auditTexts(t, sRef.Handler(), "live", 8)
@@ -197,15 +263,14 @@ func TestWALGenerationCrashStates(t *testing.T) {
 			t.Fatal(ck.err)
 		}
 		var head struct {
-			WALGen   int64 `json:"wal_gen"`
-			WALLines int   `json:"wal_lines"`
+			WALGen int64 `json:"wal_gen"`
 		}
 		raw, err := os.ReadFile(filepath.Join(dir, "live.ckpt.2"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(raw, &head); err != nil || head.WALGen != 2 || head.WALLines != 0 {
-			t.Fatalf("checkpoint 2 head = %+v (%v), want wal_gen 2 and wal_lines 0", head, err)
+		if err := json.Unmarshal(raw, &head); err != nil || head.WALGen != 2 {
+			t.Fatalf("checkpoint 2 head = %+v (%v), want wal_gen 2", head, err)
 		}
 		s := recoverAndFinish(t, dir, every, batches[6:], last.Fingerprint, want)
 		if rec := recoveryOf(t, s); rec.CheckpointBlocks != 12 || rec.WALLines != 0 {
@@ -243,47 +308,6 @@ func TestWALGenerationCrashStates(t *testing.T) {
 			t.Errorf("recovery = %+v, want one replayed line and a truncated tail", rec)
 		}
 	})
-
-	t.Run("legacy wal_lines checkpoint", func(t *testing.T) {
-		// The layout before generations: one live log holding batches[:7]
-		// and a checkpoint covering its first four lines.
-		dir := t.TempDir()
-		sLog, _, _ := streamFixtureCfg(t, func(cfg *Config) {
-			cfg.StreamDir = dir
-			cfg.CheckpointEvery = 1000
-		})
-		feedBatches(t, sLog.Handler(), batches[:7])
-		sMem, _, _ := streamFixture(t)
-		feedBatches(t, sMem.Handler(), batches[:4])
-		set, err := sMem.lookupSet("live")
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy := captureCheckpoint(set, 0)
-		legacy.head.WALLines = 4
-		var raw bytes.Buffer
-		if err := legacy.encodeTo(&raw); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "live.ckpt"), raw.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "live.ckpt.tmp"), raw.Bytes()[:10], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s := recoverAndFinish(t, dir, every, batches[7:], last.Fingerprint, want)
-		if rec := recoveryOf(t, s); rec.CheckpointBlocks != 8 || rec.WALLines != 3 {
-			t.Errorf("recovery = %+v, want the legacy checkpoint's 8 blocks and 3 replayed lines", rec)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range []string{"live.ckpt", "live.ckpt.tmp", "live.wal.1"} {
-			if exists(filepath.Join(dir, f)) {
-				t.Errorf("%s survived recovery's checkpoint", f)
-			}
-		}
-	})
 }
 
 // reopenAt boots a server over dir, as a restart would.
@@ -296,6 +320,23 @@ func reopenAt(t *testing.T, dir string, every int) *Server {
 	return s
 }
 
+// TestPreGenerationCheckpointFailsBoot pins that a checkpoint with no
+// generation, <set>.ckpt from the layout before sealed generations, fails
+// the boot by name instead of being skipped: it covers a prefix of the log,
+// and skipping it would silently drop that prefix.
+func TestPreGenerationCheckpointFailsBoot(t *testing.T) {
+	dir := t.TempDir()
+	for _, f := range []string{"live.wal", "live.ckpt"} {
+		if err := os.WriteFile(filepath.Join(dir, f), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := New(Config{StreamDir: dir})
+	if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, "live.ckpt")) {
+		t.Errorf("boot over a pre-generation checkpoint = %v, want an error naming %s", err, filepath.Join(dir, "live.ckpt"))
+	}
+}
+
 // TestWALCopyDuringCheckpointWrite copies a stream directory file by file
 // while a background checkpoint write is in flight, and once more with
 // that checkpoint cut short as a copy taken mid-write would see it. Both
@@ -306,7 +347,7 @@ func TestWALCopyDuringCheckpointWrite(t *testing.T) {
 	sRef, c, _ := streamFixture(t)
 	batches := mkIngestBatches(c, "live", 2)
 	if len(batches) < 8 {
-		t.Skipf("fixture too small: %d batches", len(batches))
+		t.Fatalf("fixture too small: %d batches", len(batches))
 	}
 	last := feedBatches(t, sRef.Handler(), batches)
 	want := auditTexts(t, sRef.Handler(), "live", 8)
@@ -397,10 +438,10 @@ func TestCheckpointEncodingIsMarshal(t *testing.T) {
 func TestScanStreamDirNames(t *testing.T) {
 	dir := t.TempDir()
 	for _, f := range []string{
-		"a.wal", "a.wal.1", "a.wal.12", "a.ckpt", "a.ckpt.12", "a.ckpt.tmp",
+		"a.wal", "a.wal.1", "a.wal.12", "a.ckpt.12",
 		"a.wal.wal", "a.wal.wal.3", // set "a.wal"
 		"b.7.wal", "b.7.ckpt.2", // set "b.7"
-		"c.ckpt.tmp",                        // a leftover alone is no set
+		"c.ckpt.tmp",                        // not ours
 		"d.wal.007", "e.wal.0", "notes.txt", // not canonical generations, not ours
 	} {
 		if err := os.WriteFile(filepath.Join(dir, f), nil, 0o644); err != nil {
@@ -412,7 +453,7 @@ func TestScanStreamDirNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]streamFiles{
-		"a":     {live: true, gens: []int64{1, 12}, ckpts: []int64{0, 12}, tmp: true},
+		"a":     {live: true, gens: []int64{1, 12}, ckpts: []int64{12}},
 		"a.wal": {live: true, gens: []int64{3}},
 		"b.7":   {live: true, ckpts: []int64{2}},
 	}
