@@ -1,19 +1,19 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-short sim-scale reproduce lint lint-fixtures lint-json smoke-metrics smoke-chaos smoke-serve smoke-stream smoke-live smoke-crash smoke-multi clean
+.PHONY: check build vet test race fuzz-short bench bench-short sim-scale reproduce lint lint-fixtures lint-json smoke-metrics smoke-chaos smoke-serve smoke-stream smoke-live smoke-crash smoke-multi clean
 
 # check is the tier-1 gate: vet, build, the analyzer suite (plus the guard
 # that keeps its fixtures honest), the full test suite under the race
-# detector, the metrics, chaos, service, stream-replay, live-feed,
-# crash-recovery, and multi-source smoke tests, and a short run of the
-# benchmark with all its output checks. Each smoke gate runs as one
+# detector, a short fuzzing run, the metrics, chaos, service, stream-replay,
+# live-feed, crash-recovery, and multi-source smoke tests, and a short run
+# of the benchmark with all its output checks. Each smoke gate runs as one
 # `set -e` shell that writes only under its own mktemp -d directory and
 # removes it when it exits, so concurrent runs never share a path; a
 # daemon's exit trap runs with `set +e`, since its kill may find the daemon
 # already gone, and waits for the daemon before it removes the directory:
 # a terminated chainauditd still finishes a checkpoint write in flight and
 # closes its logs there.
-check: vet build lint lint-fixtures race smoke-metrics smoke-chaos smoke-serve smoke-stream smoke-live smoke-crash smoke-multi bench-short
+check: vet build lint lint-fixtures race fuzz-short smoke-metrics smoke-chaos smoke-serve smoke-stream smoke-live smoke-crash smoke-multi bench-short
 
 # lint runs the determinism & concurrency/durability analyzer suite
 # (DESIGN.md §9) over every module package. Any unsuppressed finding fails
@@ -59,6 +59,13 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/serve
+
+# fuzz-short fuzzes the ingest parser against encoding/json for a bounded
+# time (FuzzDecodeIngest, internal/serve). `go test` already runs its
+# checked-in seeds under testdata/fuzz; this run mutates them. A failing
+# input is written to that directory, where the next `go test` replays it.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIngest$$' -fuzztime 20s ./internal/serve
 
 # bench runs perfbench, the one performance ledger (perfbench/README.md):
 # ten runs of every workload with their spreads, bounds and per-layer

@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"encoding/hex"
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -125,13 +123,20 @@ type IngestResponse struct {
 	Error       string  `json:"error,omitempty"`
 }
 
+// parseTxID decodes a transaction ID written as exactly 64 hex digits, of
+// either case, straight into the ID; anything else is an error.
 func parseTxID(s string) (chain.TxID, error) {
 	var id chain.TxID
-	raw, err := hex.DecodeString(s)
-	if err != nil || len(raw) != 32 {
-		return id, fmt.Errorf("bad txid %q", s)
+	if len(s) != 2*len(id) {
+		return chain.TxID{}, fmt.Errorf("bad txid %q", s)
 	}
-	copy(id[:], raw)
+	for i := range id {
+		hi, lo := hexValue[s[2*i]], hexValue[s[2*i+1]]
+		if hi < 0 || lo < 0 {
+			return chain.TxID{}, fmt.Errorf("bad txid %q", s)
+		}
+		id[i] = byte(hi)<<4 | byte(lo)
+	}
 	return id, nil
 }
 
@@ -267,10 +272,10 @@ func (s *Server) handleIngestV2(w http.ResponseWriter, r *http.Request) { s.inge
 // ingest applies a batch of frames to a streaming data set. Appends are
 // ordered and fail fast: the first unappendable block (gap, duplicate,
 // double spend, missing coinbase) stops the batch with 409, and everything
-// applied before it stays. With durable streaming enabled, the parsed batch
-// is appended to the set's write-ahead log before it is applied — a WAL
-// failure answers 503 without applying anything, so an acknowledged batch
-// is always recoverable. Each applied block updates the incremental index
+// applied before it stays. With durable streaming enabled, the body the
+// batch was parsed from is appended to the set's write-ahead log before the
+// batch is applied — a WAL failure answers 503 without applying anything,
+// so an acknowledged batch is always recoverable. Each applied block updates the incremental index
 // and the ingest watermark, and rotates the set's fingerprint (retiring its
 // result-cache entries); applied snapshot frames rotate the fingerprint
 // too, since first-seen times are audit-visible state. Rejections answer with the unified ErrorEnvelope,
@@ -282,7 +287,6 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, api string) {
 	if limit <= 0 {
 		limit = defaultMaxIngestBytes
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	var req IngestRequest
 	resp := IngestResponse{API: api}
 	reject := func(status int, err error) {
@@ -291,7 +295,8 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, api string) {
 		resp.ElapsedMS = t.ms()
 		failIngest(w, status, &resp)
 	}
-	if err := decodeOne(r.Body, &req); err != nil {
+	body, err := decodeOne(w, r, limit, &req)
+	if err != nil {
 		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -337,7 +342,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, api string) {
 		}
 	}
 
-	status, ck := s.ingestLocked(set, &req, batch, &resp)
+	status, ck := s.ingestLocked(set, body, batch, &resp)
 	if ck != nil {
 		// The checkpoint this batch sealed is written after the ack, on the
 		// set's one background writer, outside set.mu.
@@ -351,22 +356,20 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, api string) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// decodeOne decodes exactly one JSON value from r into v. Anything but
-// whitespace after the value is an error: the WAL logs the decoded value,
-// so trailing bytes would otherwise be acknowledged and silently dropped.
-func decodeOne(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(v); err != nil {
-		return err
+// decodeOne reads an ingest body of at most limit bytes into one buffer,
+// sized from Content-Length, and parses it into req with the request's own
+// single-pass parser; anything but whitespace after the JSON value is an
+// error. It returns the body: the WAL logs those very bytes (walLine), so
+// recovery replays exactly what the handler decoded.
+func decodeOne(w http.ResponseWriter, r *http.Request, limit int64, req *IngestRequest) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare bytes to see EOF without growing
 	}
-	switch _, err := dec.Token(); {
-	case err == io.EOF:
-		return nil
-	case err == nil:
-		return errors.New("trailing data after the JSON value")
-	default:
-		return fmt.Errorf("trailing data after the JSON value: %w", err)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		return nil, err
 	}
+	return buf.Bytes(), req.UnmarshalJSON(buf.Bytes())
 }
 
 // ingestLocked is the critical section of ingest: WAL append (and the seal
@@ -379,14 +382,14 @@ func decodeOne(r io.Reader, v any) error {
 // and starts that write AFTER the lock is released, so neither a slow
 // client connection nor checkpoint encoding and I/O ever holds the set
 // against concurrent ingests and audits.
-func (s *Server) ingestLocked(set *auditSet, req *IngestRequest, batch *stream.Batch, resp *IngestResponse) (int, *ckptWrite) {
+func (s *Server) ingestLocked(set *auditSet, body []byte, batch *stream.Batch, resp *IngestResponse) (int, *ckptWrite) {
 	set.mu.Lock()
 	defer set.mu.Unlock()
 	sealed := false
 	if set.wal != nil && !set.stream.Covered(batch) {
 		var err error
 		//lint:allow lockheld write-ahead ordering invariant: the WAL append, and the seal of the log it makes due, must commit under the same set.mu hold as stream.Set.Apply, or a concurrent batch could apply between log and apply (recovery would replay them out of order) or land in a generation the sealed checkpoint claims to cover
-		if sealed, err = set.wal.appendRequest(req); err != nil {
+		if sealed, err = set.wal.appendRequest(body); err != nil {
 			// Write-ahead failed: nothing was applied, so the feeder can
 			// safely re-ship the whole batch after the service recovers.
 			// (503 counts as a service error via writeError, not a reject.)

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -285,9 +286,9 @@ func TestIngestErrors(t *testing.T) {
 	if rr.Code != http.StatusBadRequest {
 		t.Errorf("malformed body = %d", rr.Code)
 	}
-	// Trailing data after the JSON value: the WAL logs the decoded value,
-	// so anything after it would be dropped silently. A trailing newline,
-	// as an Encoder writes, is whitespace and stays legal.
+	// Trailing data after the JSON value: the WAL logs the body, and replay
+	// would reject what ingest had acknowledged. A trailing newline, as an
+	// Encoder writes, is whitespace and stays legal.
 	one, err := json.Marshal(IngestRequest{Dataset: "live"})
 	if err != nil {
 		t.Fatal(err)
@@ -306,6 +307,14 @@ func TestIngestErrors(t *testing.T) {
 		if rr.Code != c.want {
 			t.Errorf("body with trailing %q = %d, want %d: %s", c.tail, rr.Code, c.want, rr.Body.String())
 		}
+	}
+	// An unknown member nested past encoding/json's depth bound of 10,000,
+	// in a body well under the size limit: a 400, and no deep Go stack.
+	deep := `{"dataset":"live","x":` + strings.Repeat("[", 20000) + strings.Repeat("]", 20000) + `}`
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/ingest", strings.NewReader(deep)))
+	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "max depth") {
+		t.Errorf("deeply nested unknown member = %d: %s", rr.Code, rr.Body.String())
 	}
 	// Missing dataset name.
 	if rr := postJSON(t, h, "/v1/ingest", IngestRequest{}); rr.Code != http.StatusBadRequest {

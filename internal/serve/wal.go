@@ -119,11 +119,11 @@ func fnv64a(s string) uint64 {
 // it taken while no ingest is in flight.
 
 // setWAL is one streaming set's write-ahead log: JSONL files of accepted
-// IngestRequest lines — the exact wire format cmd/streamfeed replays — cut
-// into sealed generations, plus the checkpoints that cover them. Every
-// method runs under the owning set's mu (or with exclusive access at boot)
-// except ckptWrite.run, the background checkpoint write, which only
-// creates and writes its own checkpoint file.
+// ingest bodies, one line each as the handler received them — the wire
+// format cmd/streamfeed replays — cut into sealed generations, plus the
+// checkpoints that cover them. Every method runs under the owning set's mu
+// (or with exclusive access at boot) except ckptWrite.run, the background
+// checkpoint write, which only creates and writes its own checkpoint file.
 type setWAL struct {
 	name   string
 	dir    string
@@ -198,23 +198,21 @@ func (w *setWAL) openLive() error {
 	return nil
 }
 
-// appendRequest logs one accepted ingest batch, write-ahead of its
-// application. A fault injector may tear the write (a prefix lands on disk)
-// or crash it (nothing lands); either way the WAL marks itself broken and
-// the caller answers 503 — the durable analogue of the process dying before
-// it replied. When the append makes the log due for a checkpoint and no
+// appendRequest logs one accepted ingest body, write-ahead of its
+// application, as one line (walLine, which rewrites body in place). A
+// fault injector may tear the write (a prefix lands on disk) or crash it
+// (nothing lands); either way the WAL marks itself broken and the caller
+// answers 503 — the durable analogue of the process dying before it
+// replied. When the append makes the log due for a checkpoint and no
 // checkpoint write is in flight, it seals the log, and sealed reports it:
 // the caller then captures the checkpoint after applying the batch, under
 // the same hold of set.mu. A failed seal does not fail the batch, which is
 // already logged.
-func (w *setWAL) appendRequest(req *IngestRequest) (sealed bool, err error) {
+func (w *setWAL) appendRequest(body []byte) (sealed bool, err error) {
 	if w.broken {
 		return false, fmt.Errorf("wal %s: unavailable after append failure; restart to recover", w.name)
 	}
-	line, err := json.Marshal(req)
-	if err != nil {
-		return false, fmt.Errorf("wal %s: marshal: %w", w.name, err)
-	}
+	line := walLine(body)
 	if act := w.inj.Append(); act.Tear || act.Crash {
 		w.broken = true
 		if act.Tear {
@@ -1044,10 +1042,28 @@ func (w *setWAL) newestCheckpoint(gens []int64) (*walCheckpoint, error) {
 	return nil, nil
 }
 
-// parseWALLine decodes one logged IngestRequest into the batch it applies.
+// walLine makes a parsed ingest body its WAL line, in place: trailing
+// whitespace cut, and every newline turned into a space. A body that parsed
+// holds a newline only as whitespace between tokens (JSON strings cannot
+// hold a raw one), so the line parses to the same request; and since the
+// line ends with the value's last byte, no prefix of it parses, which is
+// how recovery tells a torn final line.
+func walLine(body []byte) []byte {
+	line := bytes.TrimRight(body, " \t\r\n")
+	for rest := line; ; {
+		i := bytes.IndexByte(rest, '\n')
+		if i < 0 {
+			return line
+		}
+		rest[i] = ' '
+		rest = rest[i+1:]
+	}
+}
+
+// parseWALLine decodes one logged ingest body into the batch it applies.
 func parseWALLine(name string, line []byte) (*stream.Batch, error) {
 	var req IngestRequest
-	if err := json.Unmarshal(line, &req); err != nil {
+	if err := req.UnmarshalJSON(line); err != nil {
 		return nil, err
 	}
 	if req.Dataset != name {

@@ -62,8 +62,12 @@ func ingestHeld(t *testing.T, s *Server, req IngestRequest) *ckptWrite {
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, err := json.Marshal(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var resp IngestResponse
-	status, ck := s.ingestLocked(set, &req, batch, &resp)
+	status, ck := s.ingestLocked(set, body, batch, &resp)
 	if status != http.StatusOK {
 		t.Fatalf("ingest = %d: %s", status, resp.Error)
 	}
