@@ -60,12 +60,15 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/serve
 
-# fuzz-short fuzzes the ingest parser against encoding/json for a bounded
-# time (FuzzDecodeIngest, internal/serve). `go test` already runs its
-# checked-in seeds under testdata/fuzz; this run mutates them. A failing
-# input is written to that directory, where the next `go test` replays it.
+# fuzz-short fuzzes, each for a bounded time, the ingest parser against
+# encoding/json (FuzzDecodeIngest, internal/serve) and the arrival ledger
+# against its map-of-maps model (FuzzSourceLedger, internal/index). `go
+# test` already runs their checked-in seeds under testdata/fuzz; this run
+# mutates them. A failing input is written to that directory, where the
+# next `go test` replays it.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIngest$$' -fuzztime 20s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSourceLedger$$' -fuzztime 10s ./internal/index
 
 # bench runs perfbench, the one performance ledger (perfbench/README.md):
 # ten runs of every workload with their spreads, bounds and per-layer

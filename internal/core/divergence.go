@@ -11,10 +11,13 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
+	"strings"
 	"time"
 
-	"chainaudit/internal/chain"
+	"chainaudit/internal/index"
 )
 
 // Default divergence parameters.
@@ -123,91 +126,80 @@ func (r *DivergenceReport) FlaggedSources() []string {
 	return out
 }
 
-// DivergenceAudit computes the per-source agreement matrix over a
-// per-source arrival ledger (index.BlockIndex.SourceSeenTimes): for every
-// transaction at least two sources reported, each source's offset behind
-// the earliest sighting and each pair's signed first-seen delta, summarized
-// as quantiles. A source whose median offset exceeds opts.Threshold over at
+// DivergenceAudit computes the per-source agreement matrix over an
+// arrival ledger (index.BlockIndex.SourceSeenTimes): for every transaction
+// at least two sources reported, each source's offset behind the earliest
+// sighting and each pair's signed first-seen delta, summarized as
+// quantiles. A source whose median offset exceeds opts.Threshold over at
 // least opts.MinShared shared transactions is flagged as a systematic
-// laggard. The result is deterministic: transactions and sources are
-// processed in sorted order, and all statistics are order-independent.
-func DivergenceAudit(ledger map[chain.TxID]map[string]time.Time, opts DivergenceOptions) *DivergenceReport {
+// laggard. Offsets saturate as time.Time.Sub does.
+//
+// It is one pass over the ledger's rows, in whatever order the ledger holds
+// them. The result does not depend on that order: counts are sums, every
+// quantile is read from a sorted sample, and sources and pairs are reported
+// in source-name order. A source with no sighting left in the ledger gets
+// no row.
+func DivergenceAudit(ledger *index.Ledger, opts DivergenceOptions) *DivergenceReport {
 	rep := &DivergenceReport{Threshold: opts.threshold(), MinShared: opts.minShared()}
-	srcSet := make(map[string]bool)
-	for _, bySrc := range ledger {
-		for s := range bySrc {
-			srcSet[s] = true
-		}
-	}
-	if len(srcSet) == 0 {
+	if ledger == nil {
 		return rep
 	}
-	sources := make([]string, 0, len(srcSet))
-	for s := range srcSet {
-		sources = append(sources, s)
+	names := ledger.SourceNames()
+	n := len(names)
+	// byName lists the source ordinals in name order; rank inverts it.
+	// Every per-source tally below is kept by rank.
+	byName := make([]int32, n)
+	for i := range byName {
+		byName[i] = int32(i)
 	}
-	sort.Strings(sources)
-	srcIdx := make(map[string]int, len(sources))
-	for i, s := range sources {
-		srcIdx[s] = i
+	slices.SortFunc(byName, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+	rank := make([]int, n)
+	for r, ord := range byName {
+		rank[ord] = r
 	}
 
-	txids := make([]chain.TxID, 0, len(ledger))
-	for id := range ledger {
-		txids = append(txids, id)
-	}
-	sort.Slice(txids, func(i, j int) bool { return txids[i].Less(txids[j]) })
-
-	n := len(sources)
 	observed := make([]int, n)
-	shared := make([]int, n)
 	leads := make([]int, n)
 	offsets := make([][]time.Duration, n)
-	// pairKey(i, j), i < j, indexes the upper triangle row-major.
-	pairKey := func(i, j int) int { return i*n + j }
-	pairDeltas := make(map[int][]time.Duration)
-
-	for _, id := range txids {
-		bySrc := ledger[id]
-		for s := range bySrc {
-			observed[srcIdx[s]]++
+	var deltas []pairDelta
+	var row []index.Arrival
+	for r := 0; r < ledger.Len(); r++ {
+		row = ledger.AppendArrivals(row[:0], r)
+		for _, a := range row {
+			observed[rank[a.Source]]++
 		}
-		if len(bySrc) < 2 {
+		if len(row) < 2 {
 			continue
 		}
 		rep.SharedTxs++
-		present := make([]int, 0, len(bySrc))
-		for s := range bySrc {
-			present = append(present, srcIdx[s])
+		earliest := row[0].NS
+		for _, a := range row[1:] {
+			earliest = min(earliest, a.NS)
 		}
-		sort.Ints(present)
-		earliest := bySrc[sources[present[0]]]
-		for _, i := range present[1:] {
-			if t := bySrc[sources[i]]; t.Before(earliest) {
-				earliest = t
-			}
-		}
-		for _, i := range present {
-			off := bySrc[sources[i]].Sub(earliest)
-			shared[i]++
-			offsets[i] = append(offsets[i], off)
+		for i, a := range row {
+			ra := rank[a.Source]
+			off := subNS(a.NS, earliest)
+			offsets[ra] = append(offsets[ra], off)
 			if off == 0 {
-				leads[i]++
+				leads[ra]++
 			}
-		}
-		for a := 0; a < len(present); a++ {
-			for b := a + 1; b < len(present); b++ {
-				i, j := present[a], present[b]
-				delta := bySrc[sources[i]].Sub(bySrc[sources[j]])
-				pairDeltas[pairKey(i, j)] = append(pairDeltas[pairKey(i, j)], delta)
+			for _, b := range row[i+1:] {
+				if rb := rank[b.Source]; ra < rb {
+					deltas = append(deltas, pairDelta{pair: ra*n + rb, d: subNS(a.NS, b.NS)})
+				} else {
+					deltas = append(deltas, pairDelta{pair: rb*n + ra, d: subNS(b.NS, a.NS)})
+				}
 			}
 		}
 	}
 
-	for i, s := range sources {
-		sd := SourceDivergence{Source: s, Observed: observed[i], Shared: shared[i], Leads: leads[i]}
-		if len(offsets[i]) > 0 {
-			sorted := sortedDurations(offsets[i])
+	for r, ord := range byName {
+		if observed[r] == 0 {
+			continue
+		}
+		sd := SourceDivergence{Source: names[ord], Observed: observed[r], Shared: len(offsets[r]), Leads: leads[r]}
+		if sorted := offsets[r]; len(sorted) > 0 {
+			slices.Sort(sorted)
 			sd.MedianOffset = durQuantile(sorted, 0.5)
 			sd.P90Offset = durQuantile(sorted, 0.9)
 			sd.MaxOffset = sorted[len(sorted)-1]
@@ -215,40 +207,64 @@ func DivergenceAudit(ledger map[chain.TxID]map[string]time.Time, opts Divergence
 		}
 		rep.Sources = append(rep.Sources, sd)
 	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			deltas := pairDeltas[pairKey(i, j)]
-			if len(deltas) == 0 {
-				continue
-			}
-			pd := PairDivergence{A: sources[i], B: sources[j], Shared: len(deltas)}
-			pd.MedianDelta = durQuantile(sortedDurations(deltas), 0.5)
-			abs := make([]time.Duration, len(deltas))
-			for k, d := range deltas {
-				if d < 0 {
-					d = -d
-				}
-				abs[k] = d
-			}
-			pd.P90AbsDelta = durQuantile(sortedDurations(abs), 0.9)
-			rep.Pairs = append(rep.Pairs, pd)
+	// Sorting by (pair, delta) groups each pair's deltas, pairs in name
+	// order, and sorts every group for its median.
+	slices.SortFunc(deltas, func(x, y pairDelta) int {
+		if c := cmp.Compare(x.pair, y.pair); c != 0 {
+			return c
 		}
+		return cmp.Compare(x.d, y.d)
+	})
+	var sorted, abs []time.Duration
+	for i := 0; i < len(deltas); {
+		pair := deltas[i].pair
+		sorted = sorted[:0]
+		for ; i < len(deltas) && deltas[i].pair == pair; i++ {
+			sorted = append(sorted, deltas[i].d)
+		}
+		pd := PairDivergence{A: names[byName[pair/n]], B: names[byName[pair%n]], Shared: len(sorted)}
+		pd.MedianDelta = durQuantile(sorted, 0.5)
+		abs = abs[:0]
+		for _, d := range sorted {
+			if d < 0 {
+				d = -d // the negation of MinDuration overflows to itself
+			}
+			abs = append(abs, d)
+		}
+		slices.Sort(abs)
+		pd.P90AbsDelta = durQuantile(abs, 0.9)
+		rep.Pairs = append(rep.Pairs, pd)
 	}
 	return rep
 }
 
-// AuditDivergence runs the cross-observer divergence audit over the shared
-// index's per-source arrival ledger. An index with no attributed sources
-// (every observation anonymous) yields an empty report.
-func (a *Auditor) AuditDivergence(opts DivergenceOptions) *DivergenceReport {
-	return DivergenceAudit(a.Index().SourceSeenTimes(), opts)
+// pairDelta is one shared transaction's t_A − t_B for the source pair
+// numbered A*n+B by name rank, A < B.
+type pairDelta struct {
+	pair int
+	d    time.Duration
 }
 
-// sortedDurations returns a sorted copy.
-func sortedDurations(ds []time.Duration) []time.Duration {
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted
+// subNS returns a − b for two unix-nanosecond times, saturated to the
+// Duration range exactly as time.Time.Sub saturates.
+func subNS(a, b int64) time.Duration {
+	d := a - b
+	// The difference overflowed iff a and b differ in sign and d's sign is
+	// not a's.
+	if (a < 0) != (b < 0) && (d < 0) != (a < 0) {
+		if a < b {
+			return math.MinInt64
+		}
+		return math.MaxInt64
+	}
+	return time.Duration(d)
+}
+
+// AuditDivergence runs the cross-observer divergence audit over the shared
+// index's arrival ledger. An index with no attributed sources (every
+// observation anonymous) yields an empty report.
+func (a *Auditor) AuditDivergence(opts DivergenceOptions) *DivergenceReport {
+	return DivergenceAudit(a.Index().SourceSeenTimes(), opts)
 }
 
 // durQuantile returns the q-quantile of a sorted series by nearest rank —

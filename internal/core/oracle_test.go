@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"chainaudit/internal/chain"
 	"chainaudit/internal/index"
@@ -342,4 +343,125 @@ func TopPoolsByShare(c *chain.Chain, reg *poolid.Registry, minShare float64) []s
 // coinbase, or absent).
 func TxSPPE(b *chain.Block, id chain.TxID) (sppe float64, ok bool) {
 	return analyzeBlock(b).SPPE(id)
+}
+
+// MapLedgerDivergence is the divergence audit as it was written over a
+// map-of-maps ledger (transaction → source ID → that source's earliest
+// sighting), sorting transactions and sources before it reads them. It is
+// the reference TestDivergenceMatchesMapOracle holds DivergenceAudit to:
+// for every transaction at least two sources reported, each source's
+// offset behind the earliest sighting and each pair's signed first-seen
+// delta, summarized as quantiles, and a source whose median offset exceeds
+// opts.Threshold over at least opts.MinShared shared transactions flagged.
+func MapLedgerDivergence(ledger map[chain.TxID]map[string]time.Time, opts DivergenceOptions) *DivergenceReport {
+	rep := &DivergenceReport{Threshold: opts.threshold(), MinShared: opts.minShared()}
+	srcSet := make(map[string]bool)
+	for _, bySrc := range ledger {
+		for s := range bySrc {
+			srcSet[s] = true
+		}
+	}
+	if len(srcSet) == 0 {
+		return rep
+	}
+	sources := make([]string, 0, len(srcSet))
+	for s := range srcSet {
+		sources = append(sources, s)
+	}
+	sort.Strings(sources)
+	srcIdx := make(map[string]int, len(sources))
+	for i, s := range sources {
+		srcIdx[s] = i
+	}
+
+	txids := make([]chain.TxID, 0, len(ledger))
+	for id := range ledger {
+		txids = append(txids, id)
+	}
+	sort.Slice(txids, func(i, j int) bool { return txids[i].Less(txids[j]) })
+
+	n := len(sources)
+	observed := make([]int, n)
+	shared := make([]int, n)
+	leads := make([]int, n)
+	offsets := make([][]time.Duration, n)
+	// pairKey(i, j), i < j, indexes the upper triangle row-major.
+	pairKey := func(i, j int) int { return i*n + j }
+	pairDeltas := make(map[int][]time.Duration)
+
+	for _, id := range txids {
+		bySrc := ledger[id]
+		for s := range bySrc {
+			observed[srcIdx[s]]++
+		}
+		if len(bySrc) < 2 {
+			continue
+		}
+		rep.SharedTxs++
+		present := make([]int, 0, len(bySrc))
+		for s := range bySrc {
+			present = append(present, srcIdx[s])
+		}
+		sort.Ints(present)
+		earliest := bySrc[sources[present[0]]]
+		for _, i := range present[1:] {
+			if t := bySrc[sources[i]]; t.Before(earliest) {
+				earliest = t
+			}
+		}
+		for _, i := range present {
+			off := bySrc[sources[i]].Sub(earliest)
+			shared[i]++
+			offsets[i] = append(offsets[i], off)
+			if off == 0 {
+				leads[i]++
+			}
+		}
+		for a := 0; a < len(present); a++ {
+			for b := a + 1; b < len(present); b++ {
+				i, j := present[a], present[b]
+				delta := bySrc[sources[i]].Sub(bySrc[sources[j]])
+				pairDeltas[pairKey(i, j)] = append(pairDeltas[pairKey(i, j)], delta)
+			}
+		}
+	}
+
+	for i, s := range sources {
+		sd := SourceDivergence{Source: s, Observed: observed[i], Shared: shared[i], Leads: leads[i]}
+		if len(offsets[i]) > 0 {
+			sorted := sortedDurations(offsets[i])
+			sd.MedianOffset = durQuantile(sorted, 0.5)
+			sd.P90Offset = durQuantile(sorted, 0.9)
+			sd.MaxOffset = sorted[len(sorted)-1]
+			sd.Flagged = sd.Shared >= rep.MinShared && sd.MedianOffset > rep.Threshold
+		}
+		rep.Sources = append(rep.Sources, sd)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			deltas := pairDeltas[pairKey(i, j)]
+			if len(deltas) == 0 {
+				continue
+			}
+			pd := PairDivergence{A: sources[i], B: sources[j], Shared: len(deltas)}
+			pd.MedianDelta = durQuantile(sortedDurations(deltas), 0.5)
+			abs := make([]time.Duration, len(deltas))
+			for k, d := range deltas {
+				if d < 0 {
+					d = -d
+				}
+				abs[k] = d
+			}
+			pd.P90AbsDelta = durQuantile(sortedDurations(abs), 0.9)
+			rep.Pairs = append(rep.Pairs, pd)
+		}
+	}
+	return rep
+}
+
+// sortedDurations returns a sorted copy.
+func sortedDurations(ds []time.Duration) []time.Duration {
+	sorted := append([]time.Duration(nil), ds...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	return sorted
 }

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"chainaudit/internal/chain"
 	"chainaudit/internal/core"
+	"chainaudit/internal/index"
 	"chainaudit/internal/obs"
 	"chainaudit/internal/stats"
 )
@@ -29,24 +29,21 @@ func (s *Suite) ExtDivergenceDetection() (*core.DivergenceReport, error) {
 		jitter = 400 * time.Millisecond // per-sighting propagation noise, sub-threshold
 	)
 	rng := stats.NewRNG(s.Seed ^ 0xD17E)
-	ledger := make(map[chain.TxID]map[string]time.Time)
+	var ledger index.Ledger
 	i := 0
 	for _, b := range s.C.Result.Chain.Blocks() {
 		for _, tx := range b.Body() {
-			bySrc := map[string]time.Time{
-				"alpha": tx.Time.Add(time.Duration(rng.Int63n(int64(jitter)))),
-			}
+			ledger.Add("alpha", tx.ID, tx.Time.Add(time.Duration(rng.Int63n(int64(jitter)))))
 			if i%7 != 0 { // beta's vantage misses every 7th transaction
-				bySrc["beta"] = tx.Time.Add(time.Duration(rng.Int63n(int64(jitter))))
+				ledger.Add("beta", tx.ID, tx.Time.Add(time.Duration(rng.Int63n(int64(jitter)))))
 			}
 			if i%11 != 0 { // the laggard misses every 11th
-				bySrc["laggard"] = tx.Time.Add(lag + time.Duration(rng.Int63n(int64(jitter))))
+				ledger.Add("laggard", tx.ID, tx.Time.Add(lag+time.Duration(rng.Int63n(int64(jitter)))))
 			}
-			ledger[tx.ID] = bySrc
 			i++
 		}
 	}
-	rep := core.DivergenceAudit(ledger, core.DivergenceOptions{})
+	rep := core.DivergenceAudit(&ledger, core.DivergenceOptions{})
 	flagged := rep.FlaggedSources()
 	if len(flagged) != 1 || flagged[0] != "laggard" {
 		return nil, fmt.Errorf("divergence: flagged %v, want exactly [laggard]", flagged)

@@ -19,13 +19,19 @@ func WithExecutor(e *pipeline.Executor) Option {
 	return func(ix *BlockIndex) { ix.exec = e }
 }
 
+// ObserveFirstSeen merges anonymous observer arrival times:
+// ObserveFirstSeenFrom(SourceAnonymous, seen).
+func (ix *BlockIndex) ObserveFirstSeen(seen map[chain.TxID]time.Time) {
+	ix.ObserveFirstSeenFrom(SourceAnonymous, seen)
+}
+
 // Dropped returns the number of records compacted away so far.
 func (ix *BlockIndex) Dropped() int { return ix.dropped }
 
-// FirstSeenTimes returns every attached observer arrival time (nil when the
-// index carries no arrival data). The map is shared and read-only; on an
-// incremental index it is valid until the next append or merge.
-func (ix *BlockIndex) FirstSeenTimes() map[chain.TxID]time.Time { return ix.firstSeen }
+// ArenaLen returns the number of per-source entry slots the ledger holds,
+// live and free: its storage, which grows with sightings, not with rows
+// times sources.
+func (l *Ledger) ArenaLen() int { return len(l.arena) }
 
 // WalletOwners returns the pool ownership of every identified reward wallet
 // — the incremental map behind SelfInterestSets membership. The map is

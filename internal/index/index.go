@@ -16,7 +16,7 @@
 // blocks are identical by construction.
 //
 // A Build result is immutable and safe for concurrent readers. An
-// incremental index mutates on AppendBlock/ObserveFirstSeen: callers must
+// incremental index mutates on AppendBlock/ObserveFirstSeenFrom: callers must
 // serialize appends against reads (internal/serve holds a per-dataset
 // RWMutex).
 package index
@@ -157,20 +157,15 @@ type BlockIndex struct {
 	// materialization, refreshed after every ingest.
 	poolCounts map[string]*poolid.Share
 	shares     []poolid.Share
-	// firstSeen carries observer arrival times (see ObserveFirstSeen).
-	firstSeen map[chain.TxID]time.Time
-	// sourceSeen keeps the per-source arrival ledger alongside the merged
-	// min-time view: for each transaction, when each attributed observation
-	// source first reported it. Anonymous arrivals (ObserveFirstSeen, or
-	// ObserveFirstSeenFrom with SourceAnonymous) merge into firstSeen only —
-	// an unattributed feed has no vantage identity to compare, so it never
-	// grows a ledger entry. sources is the cumulative set of attributed
-	// source IDs ever observed; both survive retention compaction for
-	// unconfirmed transactions exactly as firstSeen does.
-	sourceSeen map[chain.TxID]map[string]time.Time
-	sources    map[string]bool
-	exec       *pipeline.Executor
-	appendFn   func(*chain.Chain, *chain.Block) error
+	// seen is the arrival ledger: the merged earliest sighting of every
+	// observed transaction and, per attributed source, that source's own
+	// (see ObserveFirstSeenFrom). Anonymous arrivals merge into the merged
+	// view only — an unattributed feed has no vantage identity to compare.
+	// Its source names are cumulative; its rows survive retention
+	// compaction for unconfirmed transactions only.
+	seen     Ledger
+	exec     *pipeline.Executor
+	appendFn func(*chain.Chain, *chain.Block) error
 
 	// rewardAddr, owner, and selfSets are maintained incrementally: each
 	// ingested block contributes its reward address, and a newly discovered
@@ -402,11 +397,10 @@ func (ix *BlockIndex) compact() {
 		return
 	}
 	k := len(ix.records) - ix.retain
-	if len(ix.firstSeen) > 0 || len(ix.sourceSeen) > 0 {
+	if ix.seen.Len() > 0 {
 		for r := 0; r < k; r++ {
 			for _, tx := range ix.records[r].Block.Txs {
-				delete(ix.firstSeen, tx.ID)
-				delete(ix.sourceSeen, tx.ID)
+				ix.seen.Drop(tx.ID)
 			}
 		}
 	}
@@ -456,53 +450,22 @@ func (ix *BlockIndex) refreshShares() {
 // cannot participate in cross-source divergence comparison.
 const SourceAnonymous = "_anon"
 
-// ObserveFirstSeen merges observer arrival times into the index (streaming
-// mempool snapshots). The earliest sighting of a transaction wins, and the
-// caller's map is never retained or mutated. Arrivals observed this way are
-// anonymous — equivalent to ObserveFirstSeenFrom(SourceAnonymous, seen).
-func (ix *BlockIndex) ObserveFirstSeen(seen map[chain.TxID]time.Time) {
-	ix.ObserveFirstSeenFrom(SourceAnonymous, seen)
+// ObserveFirstSeenFrom merges observer arrival times (streaming mempool
+// snapshots) attributed to one observation source. The merged min-time
+// view (FirstSeen) always takes the earliest sighting across every source;
+// in addition, for any source other than SourceAnonymous, the per-source
+// ledger records the earliest time that particular source reported each
+// transaction — the raw material of the cross-source divergence audit. An
+// empty source is treated as anonymous. The caller's map is never retained
+// or mutated.
+func (ix *BlockIndex) ObserveFirstSeenFrom(source string, seen map[chain.TxID]time.Time) {
+	ix.seen.Observe(source, seen)
 }
 
-// ObserveFirstSeenFrom merges observer arrival times attributed to one
-// observation source. The merged min-time view (FirstSeen) always takes the
-// earliest sighting across every source; in addition, for any source other
-// than SourceAnonymous, the per-source ledger records the earliest time that
-// particular source reported each transaction — the raw material of the
-// cross-source divergence audit. An empty source is treated as anonymous.
-func (ix *BlockIndex) ObserveFirstSeenFrom(source string, seen map[chain.TxID]time.Time) {
-	if len(seen) == 0 {
-		return
-	}
-	if ix.firstSeen == nil {
-		ix.firstSeen = make(map[chain.TxID]time.Time, len(seen))
-	}
-	attributed := source != "" && source != SourceAnonymous
-	if attributed {
-		if ix.sourceSeen == nil {
-			ix.sourceSeen = make(map[chain.TxID]map[string]time.Time, len(seen))
-		}
-		if ix.sources == nil {
-			ix.sources = make(map[string]bool)
-		}
-		ix.sources[source] = true
-	}
-	for id, t := range seen {
-		if prev, ok := ix.firstSeen[id]; !ok || t.Before(prev) {
-			ix.firstSeen[id] = t
-		}
-		if !attributed {
-			continue
-		}
-		bySrc := ix.sourceSeen[id]
-		if bySrc == nil {
-			bySrc = make(map[string]time.Time, 1)
-			ix.sourceSeen[id] = bySrc
-		}
-		if prev, ok := bySrc[source]; !ok || t.Before(prev) {
-			bySrc[source] = t
-		}
-	}
+// ObserveSeen merges one snapshot's sightings attributed to source, like
+// ObserveFirstSeenFrom; a zero At is taken as def (Ledger.ObserveSeen).
+func (ix *BlockIndex) ObserveSeen(source string, seen []Seen, def time.Time) {
+	ix.seen.ObserveSeen(source, seen, def)
 }
 
 // Chain returns the indexed chain.
@@ -581,43 +544,27 @@ func (ix *BlockIndex) LocateRecord(id chain.TxID) (int, bool) {
 //
 //lint:allow deadcode seam: the index, observer, serve and stream tests read merged arrival times through it (TestObserveFirstSeen, TestChainSourceIndexSinkMatchesBatch, TestIngestV2SourceAttribution, TestApplySnapshotRule)
 func (ix *BlockIndex) FirstSeen(id chain.TxID) (time.Time, bool) {
-	t, ok := ix.firstSeen[id]
-	return t, ok
+	return ix.seen.FirstSeen(id)
 }
 
 // SourceFirstSeen returns the per-source arrival times recorded for the
-// transaction: when each attributed observation source first reported it.
-// nil when no attributed source has seen it. The map is shared and
-// read-only; on an incremental index it is valid until the next append or
-// merge.
+// transaction: when each attributed observation source first reported it,
+// as a new map. nil when no attributed source has seen it.
 //
 //lint:allow deadcode seam: the index, serve and stream tests read per-source arrival times through it (TestSourceLedgerAttributionAndMerge, TestIngestV2SourceAttribution, TestApplySnapshotRule)
 func (ix *BlockIndex) SourceFirstSeen(id chain.TxID) map[string]time.Time {
-	return ix.sourceSeen[id]
+	return ix.seen.SourceFirstSeen(id)
 }
 
-// SourceSeenTimes returns the whole per-source arrival ledger (nil when no
-// attributed observations were merged). Outer key: transaction; inner key:
-// source ID. Shared and read-only; on an incremental index it is valid
-// until the next append or merge.
-func (ix *BlockIndex) SourceSeenTimes() map[chain.TxID]map[string]time.Time {
-	return ix.sourceSeen
-}
+// SourceSeenTimes returns the index's arrival ledger, the input of the
+// divergence audit. Shared and read-only; on an incremental index it is
+// valid until the next append or merge.
+func (ix *BlockIndex) SourceSeenTimes() *Ledger { return &ix.seen }
 
 // Sources returns the attributed observation source IDs ever merged into
 // the index, sorted — cumulative across retention compaction, like the
 // ingest counters.
-func (ix *BlockIndex) Sources() []string {
-	if len(ix.sources) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(ix.sources))
-	for s := range ix.sources {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
+func (ix *BlockIndex) Sources() []string { return ix.seen.Sources() }
 
 // RewardAddresses returns the distinct coinbase reward addresses each pool
 // used across the chain (Figure 8a), maintained incrementally as blocks are

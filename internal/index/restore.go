@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"time"
 
 	"chainaudit/internal/chain"
 	"chainaudit/internal/poolid"
@@ -30,16 +29,11 @@ type RestoreState struct {
 	// Shares is the cumulative per-pool tally, authoritative over whatever
 	// replaying Blocks alone would produce (compacted blocks still count).
 	Shares []poolid.Share
-	// FirstSeen holds the merged observer arrival times for retained,
-	// unconfirmed-at-checkpoint transactions.
-	FirstSeen map[chain.TxID]time.Time
-	// SourceSeen holds the per-source arrival ledger (transaction →
-	// source ID → that source's earliest sighting), and Sources the
-	// cumulative set of attributed source IDs ever merged — which can be a
-	// superset of the ledger's sources once compaction pruned a source's
-	// every observation.
-	SourceSeen map[chain.TxID]map[string]time.Time
-	Sources    []string
+	// Seen is the arrival ledger: merged and per-source sightings of the
+	// transactions still held, and the cumulative source names — a superset
+	// of the sources with a sighting once compaction pruned a source's
+	// every observation. nil restores an empty ledger.
+	Seen *Ledger
 	// RewardAddrs, Owners, and SelfSets are the incremental attribution
 	// maps, which fold in contributions from compacted blocks and must
 	// therefore be restored wholesale rather than re-derived.
@@ -61,9 +55,7 @@ func (ix *BlockIndex) Snapshot() RestoreState {
 		Ingested:    ix.ingested,
 		Dropped:     ix.dropped,
 		Shares:      ix.shares,
-		FirstSeen:   ix.firstSeen,
-		SourceSeen:  ix.sourceSeen,
-		Sources:     ix.Sources(),
+		Seen:        &ix.seen,
 		RewardAddrs: ix.rewardAddr,
 		Owners:      ix.owner,
 		SelfSets:    ix.selfSets,
@@ -93,32 +85,9 @@ func RestoreIncremental(reg *poolid.Registry, st RestoreState, opts ...Option) (
 	for _, s := range st.Shares {
 		ix.poolCounts[s.Pool] = &poolid.Share{Pool: s.Pool, Blocks: s.Blocks, Txs: s.Txs}
 	}
-	ix.firstSeen = nil
-	if len(st.FirstSeen) > 0 {
-		ix.ObserveFirstSeen(st.FirstSeen)
-	}
-	ix.sourceSeen = nil
-	ix.sources = nil
-	if len(st.SourceSeen) > 0 {
-		ix.sourceSeen = make(map[chain.TxID]map[string]time.Time, len(st.SourceSeen))
-		ix.sources = make(map[string]bool)
-		for id, bySrc := range st.SourceSeen {
-			cp := make(map[string]time.Time, len(bySrc))
-			for src, t := range bySrc {
-				cp[src] = t
-				ix.sources[src] = true
-			}
-			ix.sourceSeen[id] = cp
-		}
-	}
-	// Sources is a superset of the ledger's keys when compaction pruned a
-	// source's every observation; union it in rather than trusting either
-	// alone (older checkpoints carry only the ledger).
-	for _, s := range st.Sources {
-		if ix.sources == nil {
-			ix.sources = make(map[string]bool, len(st.Sources))
-		}
-		ix.sources[s] = true
+	ix.seen = Ledger{}
+	if st.Seen != nil {
+		ix.seen = *st.Seen.Clone()
 	}
 	ix.rewardAddr = make(map[string]map[chain.Address]bool, len(st.RewardAddrs))
 	for pool, set := range st.RewardAddrs {

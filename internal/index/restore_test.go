@@ -54,8 +54,8 @@ func requireEqualIndexes(t *testing.T, got, want *index.BlockIndex) {
 			t.Fatalf("record %d: derived fields diverged: %+v vs %+v", i, g, w)
 		}
 	}
-	if !reflect.DeepEqual(got.FirstSeenTimes(), want.FirstSeenTimes()) {
-		t.Fatalf("first-seen maps diverged: %d vs %d entries", len(got.FirstSeenTimes()), len(want.FirstSeenTimes()))
+	if !got.SourceSeenTimes().Equal(want.SourceSeenTimes()) {
+		t.Fatalf("arrival ledgers diverged: %d vs %d rows", got.SourceSeenTimes().Len(), want.SourceSeenTimes().Len())
 	}
 	if !reflect.DeepEqual(got.WalletOwners(), want.WalletOwners()) {
 		t.Fatalf("wallet owners diverged: %v vs %v", got.WalletOwners(), want.WalletOwners())

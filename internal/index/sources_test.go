@@ -2,8 +2,8 @@ package index_test
 
 // Per-source first-seen ledger tests (DESIGN.md §14): attribution keeps one
 // arrival time per (transaction, source) alongside the merged min-time view,
-// anonymous observations stay out of the ledger, compaction prunes evicted
-// transactions from both maps, and the ledger round-trips through
+// anonymous observations stay out of the per-source view, compaction prunes
+// evicted transactions from both views, and the ledger round-trips through
 // Snapshot/RestoreIncremental — the state the WAL checkpoints carry.
 
 import (
@@ -101,14 +101,13 @@ func TestSourceLedgerSurvivesCompaction(t *testing.T) {
 		}
 	}
 	ledger := ix.SourceSeenTimes()
-	for id := range ledger {
-		if !retained[id] {
+	for r := 0; r < ledger.Len(); r++ {
+		if id, _, _ := ledger.Row(r); !retained[id] {
 			t.Fatalf("ledger kept evicted transaction %s", id)
 		}
 	}
 	for id := range retained {
-		bySrc, ok := ledger[id]
-		if !ok || len(bySrc) != 2 {
+		if bySrc := ix.SourceFirstSeen(id); len(bySrc) != 2 {
 			t.Fatalf("retained transaction %s ledger entry = %v", id, bySrc)
 		}
 	}
@@ -138,7 +137,7 @@ func TestSourceLedgerRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back.SourceSeenTimes(), ix.SourceSeenTimes()) {
+	if !back.SourceSeenTimes().Equal(ix.SourceSeenTimes()) {
 		t.Error("restored ledger diverged from original")
 	}
 	if !reflect.DeepEqual(back.Sources(), ix.Sources()) {

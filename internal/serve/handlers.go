@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"sort"
@@ -239,7 +240,7 @@ func (s *Server) timeout(q url.Values) (time.Duration, error) {
 		return s.cfg.Watchdog, nil
 	}
 	ms, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil || ms < 0 {
+	if err != nil || ms < 0 || ms > math.MaxInt64/int64(time.Millisecond) {
 		return 0, fmt.Errorf("bad timeout_ms %q", raw)
 	}
 	return time.Duration(ms) * time.Millisecond, nil
@@ -427,6 +428,16 @@ type auditReq struct {
 	div core.DivergenceOptions
 }
 
+// parseFinite parses a float query parameter; NaN and the infinities are
+// errors, since no comparison against a threshold means anything for them.
+func parseFinite(raw string) (float64, error) {
+	v, err := strconv.ParseFloat(raw, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = errors.New("not finite")
+	}
+	return v, err
+}
+
 // parseAudit maps query parameters onto AuditOptions with the CLI flags'
 // semantics: absent means package default, an explicit 0 means "no
 // threshold".
@@ -434,7 +445,7 @@ func parseAudit(kind string, q url.Values) (*auditReq, map[string]string, error)
 	req := &auditReq{sppeShow: core.DefaultSPPE}
 	params := map[string]string{}
 	if raw := q.Get("minshare"); raw != "" {
-		v, err := strconv.ParseFloat(raw, 64)
+		v, err := parseFinite(raw)
 		if err != nil {
 			return nil, nil, fmt.Errorf("bad minshare %q", raw)
 		}
@@ -445,7 +456,7 @@ func parseAudit(kind string, q url.Values) (*auditReq, map[string]string, error)
 		params["minshare"] = raw
 	}
 	if raw := q.Get("sppe"); raw != "" {
-		v, err := strconv.ParseFloat(raw, 64)
+		v, err := parseFinite(raw)
 		if err != nil {
 			return nil, nil, fmt.Errorf("bad sppe %q", raw)
 		}
@@ -457,8 +468,10 @@ func parseAudit(kind string, q url.Values) (*auditReq, map[string]string, error)
 		params["sppe"] = raw
 	}
 	if raw := q.Get("threshold_ms"); raw != "" {
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
+		v, err := parseFinite(raw)
+		// A threshold that overflows a Duration would convert to one that
+		// reads as "no threshold".
+		if err != nil || v*float64(time.Millisecond) >= math.MaxInt64 {
 			return nil, nil, fmt.Errorf("bad threshold_ms %q", raw)
 		}
 		req.div.Threshold = time.Duration(v * float64(time.Millisecond))

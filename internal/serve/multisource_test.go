@@ -229,7 +229,7 @@ func TestWALReplayPreservesAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLedger := setA.stream.Index().SourceSeenTimes()
+	wantLedger := setA.stream.Index().SourceSeenTimes().Clone()
 	wantSources := setA.stream.Index().Sources()
 	if !reflect.DeepEqual(wantSources, []string{"s1", "s2", "s3"}) {
 		t.Fatalf("pre-crash Sources() = %v", wantSources)
@@ -246,7 +246,7 @@ func TestWALReplayPreservesAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(setB.stream.Index().SourceSeenTimes(), wantLedger) {
+	if !setB.stream.Index().SourceSeenTimes().Equal(wantLedger) {
 		t.Error("WAL-replayed ledger diverged from pre-crash ledger")
 	}
 	if got := setB.stream.Index().Sources(); !reflect.DeepEqual(got, wantSources) {
@@ -257,7 +257,7 @@ func TestWALReplayPreservesAttribution(t *testing.T) {
 	}
 	feedV2(t, sB.Handler(), batches[n:])
 	settleWrites(t, sB)
-	wantLedger = setB.stream.Index().SourceSeenTimes()
+	wantLedger = setB.stream.Index().SourceSeenTimes().Clone()
 	// kill -9 again: the checkpoint the seal wrote covers the whole log.
 
 	sC, _, _ := streamFixtureCfg(t, durableEvery(1000))
@@ -269,7 +269,7 @@ func TestWALReplayPreservesAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(setC.stream.Index().SourceSeenTimes(), wantLedger) {
+	if !setC.stream.Index().SourceSeenTimes().Equal(wantLedger) {
 		t.Error("checkpoint-restored ledger diverged from the sealed ledger")
 	}
 	if got := setC.stream.Index().Sources(); !reflect.DeepEqual(got, wantSources) {

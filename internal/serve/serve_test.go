@@ -292,6 +292,18 @@ func TestUnknownTargetsAndBadParams(t *testing.T) {
 		{"POST", "/v1/audits/ppe?minshare=bogus", http.StatusBadRequest},
 		{"POST", "/v1/audits/ppe?format=csv", http.StatusBadRequest},
 		{"POST", "/v1/audits/ppe?timeout_ms=-4", http.StatusBadRequest},
+		// Parameters that are not finite, or that overflow a Duration, would
+		// otherwise turn into a threshold or timeout nobody asked for.
+		{"POST", "/v1/audits/ppe?timeout_ms=9300000000000", http.StatusBadRequest},
+		{"POST", "/v1/audits/ppe?minshare=NaN", http.StatusBadRequest},
+		{"POST", "/v1/audits/ppe?minshare=Inf", http.StatusBadRequest},
+		{"POST", "/v1/audits/darkfee?pool=BTC.com&sppe=NaN", http.StatusBadRequest},
+		{"POST", "/v1/audits/darkfee?pool=BTC.com&sppe=-Inf", http.StatusBadRequest},
+		{"POST", "/v1/audits/divergence?threshold_ms=1e13", http.StatusBadRequest},
+		{"POST", "/v1/audits/divergence?threshold_ms=NaN", http.StatusBadRequest},
+		{"POST", "/v1/audits/divergence?threshold_ms=Inf", http.StatusBadRequest},
+		{"POST", "/v1/audits/divergence?threshold_ms=-Inf", http.StatusBadRequest},
+		{"POST", "/v1/audits/divergence?threshold_ms=1e308", http.StatusBadRequest},
 		{"GET", "/v1/audits/ppe", http.StatusMethodNotAllowed},
 	} {
 		rr := do(t, s.Handler(), tc.method, tc.url)

@@ -11,10 +11,10 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"chainaudit/internal/chain"
 	"chainaudit/internal/faults"
@@ -522,32 +522,21 @@ type ckptSelfSet struct {
 
 // ckptState is a checkpoint captured under set.mu at a seal: the scalar
 // aggregates and the small attribution maps, already flattened, plus what
-// is large — the retained blocks and the two arrival ledgers — copied but
-// not yet sorted or encoded. Blocks are immutable once applied, so sharing
-// their pointers is safe; the ledgers are copied because later snapshots
-// update them in place.
+// is large — the retained blocks and the arrival ledger — copied but not
+// yet sorted or encoded. Blocks are immutable once applied, so sharing
+// their pointers is safe; the ledger is copied because later snapshots
+// update it in place.
 type ckptState struct {
-	gen     int64
-	head    walCheckpoint // every field but Blocks, FirstSeen and SourceSeen
-	blocks  []*chain.Block
-	seen    []seenAt
-	srcSeen []srcSeenAt
-}
-
-type seenAt struct {
-	id chain.TxID
-	ns int64
-}
-
-type srcSeenAt struct {
-	id  chain.TxID
-	src string
-	ns  int64
+	gen    int64
+	head   walCheckpoint // every field but Blocks, FirstSeen and SourceSeen
+	blocks []*chain.Block
+	seen   *index.Ledger
 }
 
 // captureCheckpoint copies the set's restore state for generation gen's
-// checkpoint. It only copies; encode sorts the ledgers and renders the
-// bytes outside the lock. Caller holds set.mu.
+// checkpoint. It only copies — the ledger as a clone of its flat arrays
+// and its pointer-free map, not row by row; encode sorts the rows and
+// renders the bytes outside the lock. Caller holds set.mu.
 func captureCheckpoint(set *auditSet, gen int64) *ckptState {
 	st := set.stream.State()
 	snap := set.stream.Index().Snapshot()
@@ -565,21 +554,10 @@ func captureCheckpoint(set *auditSet, gen int64) *ckptState {
 			Snapshots:   st.Snapshots,
 			LastHeight:  st.LastHeight,
 			Txs:         st.Txs,
-			Sources:     snap.Sources,
+			Sources:     snap.Seen.Sources(),
 		},
-		blocks:  snap.Blocks,
-		seen:    make([]seenAt, 0, len(snap.FirstSeen)),
-		srcSeen: make([]srcSeenAt, 0, len(snap.SourceSeen)),
-	}
-	// encode sorts both ledgers by transaction ID (and source) before any
-	// byte is written.
-	for id, t := range snap.FirstSeen {
-		c.seen = append(c.seen, seenAt{id: id, ns: t.UnixNano()})
-	}
-	for id, bySrc := range snap.SourceSeen {
-		for src, t := range bySrc {
-			c.srcSeen = append(c.srcSeen, srcSeenAt{id: id, src: src, ns: t.UnixNano()})
-		}
+		blocks: snap.Blocks,
+		seen:   snap.Seen.Clone(),
 	}
 	ck := &c.head
 	for _, s := range snap.Shares {
@@ -617,36 +595,14 @@ var blocksKey = []byte(`"blocks":[`)
 
 // encodeTo writes the checkpoint file's bytes: exactly json.Marshal of the
 // full walCheckpoint plus a newline, with the retained blocks as ingest
-// frames and the ledgers sorted by transaction ID (chain.TxID.Less, the
-// order of their hex strings), per-source rows by source within an ID. The
-// frames are encoded and written one block at a time, so the encoding
+// frames and the ledger's rows sorted by transaction ID (chain.TxID.Less,
+// the order of their hex strings), a row's per-source sightings by source.
+// The frames are encoded and written one block at a time, so the encoding
 // never holds more than one block's frame and bytes.
 func (c *ckptState) encodeTo(w io.Writer) error {
 	ck := c.head
 	ck.Blocks = []BlockFrame{}
-	sort.Slice(c.seen, func(i, j int) bool { return c.seen[i].id.Less(c.seen[j].id) })
-	if len(c.seen) > 0 {
-		ck.FirstSeen = make([]ckptSeen, len(c.seen))
-		for i, e := range c.seen {
-			ck.FirstSeen[i] = ckptSeen{ID: e.id.String(), NS: e.ns}
-		}
-	}
-	sort.Slice(c.srcSeen, func(i, j int) bool {
-		a, b := &c.srcSeen[i], &c.srcSeen[j]
-		if a.id != b.id {
-			return a.id.Less(b.id)
-		}
-		return a.src < b.src
-	})
-	for i := 0; i < len(c.srcSeen); {
-		id := c.srcSeen[i].id
-		e := ckptSrcSeen{ID: id.String()}
-		for ; i < len(c.srcSeen) && c.srcSeen[i].id == id; i++ {
-			e.Sources = append(e.Sources, c.srcSeen[i].src)
-			e.NS = append(e.NS, c.srcSeen[i].ns)
-		}
-		ck.SourceSeen = append(ck.SourceSeen, e)
-	}
+	ck.FirstSeen, ck.SourceSeen = ledgerRows(c.seen)
 	head, err := json.Marshal(&ck)
 	if err != nil {
 		return err
@@ -681,6 +637,44 @@ func (c *ckptState) encodeTo(w io.Writer) error {
 	return err
 }
 
+// ledgerRows flattens an arrival ledger into the checkpoint's two lists:
+// the merged sightings and the per-source rows, each sorted by transaction
+// ID, a row's sources by name. A list with no entry is nil, so it is left
+// out of the encoding.
+func ledgerRows(l *index.Ledger) ([]ckptSeen, []ckptSrcSeen) {
+	type rowAt struct {
+		id chain.TxID
+		r  int
+	}
+	rows := make([]rowAt, l.Len())
+	for r := range rows {
+		rows[r].id, _, _ = l.Row(r)
+		rows[r].r = r
+	}
+	slices.SortFunc(rows, func(a, b rowAt) int { return bytes.Compare(a.id[:], b.id[:]) })
+	names := l.SourceNames()
+	var seen []ckptSeen
+	var srcSeen []ckptSrcSeen
+	var arr []index.Arrival
+	for _, row := range rows {
+		id := row.id.String()
+		if _, ns, ok := l.Row(row.r); ok {
+			seen = append(seen, ckptSeen{ID: id, NS: ns})
+		}
+		arr = l.AppendArrivals(arr[:0], row.r)
+		if len(arr) == 0 {
+			continue
+		}
+		slices.SortFunc(arr, func(a, b index.Arrival) int { return strings.Compare(names[a.Source], names[b.Source]) })
+		e := ckptSrcSeen{ID: id, Sources: make([]string, len(arr)), NS: make([]int64, len(arr))}
+		for i, a := range arr {
+			e.Sources[i], e.NS[i] = names[a.Source], a.NS
+		}
+		srcSeen = append(srcSeen, e)
+	}
+	return seen, srcSeen
+}
+
 // restoreCheckpoint rebuilds a streaming set from its checkpoint: retained
 // blocks re-ingest through the normal index path and cumulative aggregates
 // restore wholesale.
@@ -696,34 +690,27 @@ func (s *Server) restoreCheckpoint(ck *walCheckpoint) (*auditSet, error) {
 		}
 		st.Blocks = append(st.Blocks, b)
 	}
-	if len(ck.FirstSeen) > 0 {
-		st.FirstSeen = make(map[chain.TxID]time.Time, len(ck.FirstSeen))
-		for _, e := range ck.FirstSeen {
-			id, err := parseTxID(e.ID)
-			if err != nil {
-				return nil, fmt.Errorf("checkpoint first-seen: %w", err)
-			}
-			st.FirstSeen[id] = time.Unix(0, e.NS)
+	// The ledger fills straight from the rows; a later row for the same
+	// transaction replaces an earlier one.
+	st.Seen = &index.Ledger{}
+	st.Seen.AddSources(ck.Sources...)
+	for _, e := range ck.FirstSeen {
+		id, err := parseTxID(e.ID)
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint first-seen: %w", err)
 		}
+		st.Seen.SetFirstSeen(id, e.NS)
 	}
-	if len(ck.SourceSeen) > 0 {
-		st.SourceSeen = make(map[chain.TxID]map[string]time.Time, len(ck.SourceSeen))
-		for _, e := range ck.SourceSeen {
-			id, err := parseTxID(e.ID)
-			if err != nil {
-				return nil, fmt.Errorf("checkpoint source-seen: %w", err)
-			}
-			if len(e.NS) != len(e.Sources) {
-				return nil, fmt.Errorf("checkpoint source-seen %s: %d sources, %d times", e.ID, len(e.Sources), len(e.NS))
-			}
-			bySrc := make(map[string]time.Time, len(e.Sources))
-			for i, src := range e.Sources {
-				bySrc[src] = time.Unix(0, e.NS[i])
-			}
-			st.SourceSeen[id] = bySrc
+	for _, e := range ck.SourceSeen {
+		id, err := parseTxID(e.ID)
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint source-seen: %w", err)
 		}
+		if len(e.NS) != len(e.Sources) {
+			return nil, fmt.Errorf("checkpoint source-seen %s: %d sources, %d times", e.ID, len(e.Sources), len(e.NS))
+		}
+		st.Seen.SetArrivals(id, e.Sources, e.NS)
 	}
-	st.Sources = ck.Sources
 	for _, e := range ck.Shares {
 		st.Shares = append(st.Shares, poolid.Share{Pool: e.Pool, Blocks: e.Blocks, Txs: e.Txs})
 	}

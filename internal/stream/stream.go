@@ -33,11 +33,9 @@ import (
 var mAppend = obs.Default.Timer("stream.append")
 
 // Seen is one pending transaction's first sighting. A zero At means the
-// observer gave no time of its own; Apply uses the snapshot's Time.
-type Seen struct {
-	ID chain.TxID
-	At time.Time
-}
+// observer gave no time of its own; Apply uses the snapshot's Time. It is
+// the index's own sighting type, so a snapshot merges without a copy.
+type Seen = index.Seen
 
 // Snapshot is one decoded mempool observation.
 type Snapshot struct {
@@ -197,19 +195,11 @@ func (s *Set) Apply(b *Batch) (Progress, error) {
 // its source in, while the unattributed key keeps v1 streams'
 // fingerprints.
 func (s *Set) observe(sn *Snapshot, batchSource string) {
-	seen := make(map[chain.TxID]time.Time, len(sn.Seen))
-	for _, e := range sn.Seen {
-		at := e.At
-		if at.IsZero() {
-			at = sn.Time
-		}
-		seen[e.ID] = at
-	}
 	src := sn.Source
 	if src == "" {
 		src = batchSource
 	}
-	s.ix.ObserveFirstSeenFrom(src, seen)
+	s.ix.ObserveSeen(src, sn.Seen, sn.Time)
 	key := fmt.Sprintf("snap t=%d", sn.Time.UnixNano())
 	if src != "" && src != index.SourceAnonymous {
 		key = fmt.Sprintf("snap t=%d src=%s", sn.Time.UnixNano(), src)
