@@ -60,14 +60,16 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/serve
 
-# fuzz-short fuzzes, each for a bounded time, the ingest parser against
-# encoding/json (FuzzDecodeIngest, internal/serve) and the arrival ledger
-# against its map-of-maps model (FuzzSourceLedger, internal/index). `go
-# test` already runs their checked-in seeds under testdata/fuzz; this run
-# mutates them. A failing input is written to that directory, where the
-# next `go test` replays it.
+# fuzz-short fuzzes, each for a bounded time, the ingest parser and the
+# checkpoint reader against encoding/json (FuzzDecodeIngest and
+# FuzzDecodeCheckpoint, internal/serve) and the arrival ledger against its
+# map-of-maps model (FuzzSourceLedger, internal/index). `go test` already
+# runs their checked-in seeds under testdata/fuzz; this run mutates them. A
+# failing input is written to that directory, where the next `go test`
+# replays it.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIngest$$' -fuzztime 20s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSourceLedger$$' -fuzztime 10s ./internal/index
 
 # bench runs perfbench, the one performance ledger (perfbench/README.md):

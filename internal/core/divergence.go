@@ -11,7 +11,6 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"strings"
@@ -161,7 +160,10 @@ func DivergenceAudit(ledger *index.Ledger, opts DivergenceOptions) *DivergenceRe
 	observed := make([]int, n)
 	leads := make([]int, n)
 	offsets := make([][]time.Duration, n)
-	var deltas []pairDelta
+	// Every shared transaction adds, for each pair of its sources, the
+	// pair to pairs and its delta to deltas at the same index.
+	var pairs []sourcePair
+	var deltas []time.Duration
 	var row []index.Arrival
 	for r := 0; r < ledger.Len(); r++ {
 		row = ledger.AppendArrivals(row[:0], r)
@@ -185,9 +187,11 @@ func DivergenceAudit(ledger *index.Ledger, opts DivergenceOptions) *DivergenceRe
 			}
 			for _, b := range row[i+1:] {
 				if rb := rank[b.Source]; ra < rb {
-					deltas = append(deltas, pairDelta{pair: ra*n + rb, d: subNS(a.NS, b.NS)})
+					pairs = append(pairs, sourcePair{int32(ra), int32(rb)})
+					deltas = append(deltas, subNS(a.NS, b.NS))
 				} else {
-					deltas = append(deltas, pairDelta{pair: rb*n + ra, d: subNS(b.NS, a.NS)})
+					pairs = append(pairs, sourcePair{int32(rb), int32(ra)})
+					deltas = append(deltas, subNS(b.NS, a.NS))
 				}
 			}
 		}
@@ -207,22 +211,18 @@ func DivergenceAudit(ledger *index.Ledger, opts DivergenceOptions) *DivergenceRe
 		}
 		rep.Sources = append(rep.Sources, sd)
 	}
-	// Sorting by (pair, delta) groups each pair's deltas, pairs in name
-	// order, and sorts every group for its median.
-	slices.SortFunc(deltas, func(x, y pairDelta) int {
-		if c := cmp.Compare(x.pair, y.pair); c != 0 {
-			return c
+	// Each pair's deltas form one run, pairs in name order, and each run
+	// sorts on its own for its median.
+	pairs, deltas = groupByPair(pairs, deltas, n)
+	var abs []time.Duration
+	for i := 0; i < len(pairs); {
+		start, p := i, pairs[i]
+		for i < len(pairs) && pairs[i] == p {
+			i++
 		}
-		return cmp.Compare(x.d, y.d)
-	})
-	var sorted, abs []time.Duration
-	for i := 0; i < len(deltas); {
-		pair := deltas[i].pair
-		sorted = sorted[:0]
-		for ; i < len(deltas) && deltas[i].pair == pair; i++ {
-			sorted = append(sorted, deltas[i].d)
-		}
-		pd := PairDivergence{A: names[byName[pair/n]], B: names[byName[pair%n]], Shared: len(sorted)}
+		sorted := deltas[start:i]
+		slices.Sort(sorted)
+		pd := PairDivergence{A: names[byName[p.a]], B: names[byName[p.b]], Shared: len(sorted)}
 		pd.MedianDelta = durQuantile(sorted, 0.5)
 		abs = abs[:0]
 		for _, d := range sorted {
@@ -238,11 +238,42 @@ func DivergenceAudit(ledger *index.Ledger, opts DivergenceOptions) *DivergenceRe
 	return rep
 }
 
-// pairDelta is one shared transaction's t_A − t_B for the source pair
-// numbered A*n+B by name rank, A < B.
-type pairDelta struct {
-	pair int
-	d    time.Duration
+// sourcePair is a pair of sources (A, B) by name rank, A < B.
+type sourcePair struct{ a, b int32 }
+
+// groupByPair reorders pairs, and deltas with them, by pair, A then B,
+// keeping the order within a pair: two stable counting passes, by B and
+// then by A, over n counts each, so the cost is linear in the deltas and
+// the source count, with no table of n² pairs. Deltas of a single pair,
+// the two-source case, are already grouped and are left as they are.
+func groupByPair(pairs []sourcePair, deltas []time.Duration, n int) ([]sourcePair, []time.Duration) {
+	if !slices.ContainsFunc(pairs, func(p sourcePair) bool { return p != pairs[0] }) {
+		return pairs, deltas
+	}
+	outP := make([]sourcePair, len(pairs))
+	outD := make([]time.Duration, len(deltas))
+	count := make([]int, n+1)
+	for _, byA := range []bool{false, true} {
+		key := func(p sourcePair) int32 { return p.b }
+		if byA {
+			key = func(p sourcePair) int32 { return p.a }
+		}
+		clear(count)
+		for _, p := range pairs {
+			count[key(p)+1]++
+		}
+		for k := 1; k <= n; k++ {
+			count[k] += count[k-1]
+		}
+		for i, p := range pairs {
+			k := key(p)
+			outP[count[k]], outD[count[k]] = p, deltas[i]
+			count[k]++
+		}
+		pairs, outP = outP, pairs
+		deltas, outD = outD, deltas
+	}
+	return pairs, deltas
 }
 
 // subNS returns a − b for two unix-nanosecond times, saturated to the

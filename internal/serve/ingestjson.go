@@ -34,9 +34,15 @@ import (
 // Like encoding/json, it decodes into r as it stands and leaves r partly
 // written when it fails.
 func (r *IngestRequest) UnmarshalJSON(data []byte) error {
+	return parseDocument(data, func(p *ingestParser) error { return p.request(r) })
+}
+
+// parseDocument parses data as one JSON value, with value, and nothing but
+// whitespace around it.
+func parseDocument(data []byte, value func(*ingestParser) error) error {
 	p := ingestParser{data: data}
 	p.ws()
-	if err := p.request(r); err != nil {
+	if err := value(&p); err != nil {
 		return err
 	}
 	p.ws()
@@ -393,6 +399,20 @@ func (p *ingestParser) int64(dst *int64) error {
 	default:
 		*dst = int64(n)
 	}
+	return nil
+}
+
+// int parses an integer literal in int's range into *dst, or null, which
+// leaves *dst as it is.
+func (p *ingestParser) int(dst *int) error {
+	start, v := p.pos, int64(*dst)
+	if err := p.int64(&v); err != nil {
+		return err
+	}
+	if int64(int(v)) != v {
+		return p.rangeError(start, "int")
+	}
+	*dst = int(v)
 	return nil
 }
 

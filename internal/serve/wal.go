@@ -3,10 +3,8 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"log"
 	"os"
@@ -32,9 +30,13 @@ var (
 	mWALFsyncs      = obs.Default.Counter("serve.wal.fsyncs")
 	mWALCheckpoints = obs.Default.Counter("serve.wal.checkpoints")
 	mWALTruncations = obs.Default.Counter("serve.wal.truncations")
-	mWALRecSets     = obs.Default.Counter("serve.wal.recovered_sets")
-	mWALRecBlocks   = obs.Default.Counter("serve.wal.recovery_blocks")
-	mWALRecMS       = obs.Default.Gauge("serve.wal.recovery_ms")
+	// mWALSealsDeferred counts appends that made a log due for a seal while
+	// the set's previous checkpoint write was still in flight: the seal
+	// waits for a later append, and the live log runs past CheckpointEvery.
+	mWALSealsDeferred = obs.Default.Counter("serve.wal.seals_deferred")
+	mWALRecSets       = obs.Default.Counter("serve.wal.recovered_sets")
+	mWALRecBlocks     = obs.Default.Counter("serve.wal.recovery_blocks")
+	mWALRecMS         = obs.Default.Gauge("serve.wal.recovery_ms")
 	// mWALReplayConflicts counts replayed WAL lines whose apply stopped at
 	// a conflicting block.
 	mWALReplayConflicts = obs.Default.Counter("serve.wal.replay_conflicts")
@@ -245,7 +247,11 @@ func (w *setWAL) appendRequest(body []byte) (sealed bool, err error) {
 		w.broken = true
 		return false, fmt.Errorf("wal %s: fsync: %w", w.name, err)
 	}
-	if w.lines < w.every || w.busy() {
+	if w.lines < w.every {
+		return false, nil
+	}
+	if w.busy() {
+		mWALSealsDeferred.Inc()
 		return false, nil
 	}
 	if err := w.seal(); err != nil {
@@ -521,22 +527,33 @@ type ckptSelfSet struct {
 }
 
 // ckptState is a checkpoint captured under set.mu at a seal: the scalar
-// aggregates and the small attribution maps, already flattened, plus what
-// is large — the retained blocks and the arrival ledger — copied but not
-// yet sorted or encoded. Blocks are immutable once applied, so sharing
-// their pointers is safe; the ledger is copied because later snapshots
-// update it in place.
+// aggregates, and copies of what the lists are rendered from — the retained
+// blocks, the arrival ledger and the attribution maps, flattened into
+// slices but not yet sorted. Blocks are immutable once applied, so sharing
+// their pointers is safe; the ledger and the shares are copied because
+// later appends and snapshots update them in place.
 type ckptState struct {
-	gen    int64
-	head   walCheckpoint // every field but Blocks, FirstSeen and SourceSeen
-	blocks []*chain.Block
-	seen   *index.Ledger
+	gen         int64
+	head        walCheckpoint // the scalar fields; every list is empty
+	blocks      []*chain.Block
+	seen        *index.Ledger
+	shares      []poolid.Share
+	rewardAddrs []ckptAddrs
+	owners      []ckptOwner
+	selfSets    []ckptSelfIDs
+}
+
+// ckptSelfIDs is one pool's self-interest set as captured: IDs unformatted
+// and unsorted until the writer renders them.
+type ckptSelfIDs struct {
+	pool string
+	ids  []chain.TxID
 }
 
 // captureCheckpoint copies the set's restore state for generation gen's
 // checkpoint. It only copies — the ledger as a clone of its flat arrays
-// and its pointer-free map, not row by row; encode sorts the rows and
-// renders the bytes outside the lock. Caller holds set.mu.
+// and its pointer-free map, not row by row, and each map as an unsorted
+// slice; encodeTo sorts and renders outside the lock. Caller holds set.mu.
 func captureCheckpoint(set *auditSet, gen int64) *ckptState {
 	st := set.stream.State()
 	snap := set.stream.Index().Snapshot()
@@ -554,125 +571,32 @@ func captureCheckpoint(set *auditSet, gen int64) *ckptState {
 			Snapshots:   st.Snapshots,
 			LastHeight:  st.LastHeight,
 			Txs:         st.Txs,
-			Sources:     snap.Seen.Sources(),
 		},
-		blocks: snap.Blocks,
-		seen:   snap.Seen.Clone(),
+		blocks:      snap.Blocks,
+		seen:        snap.Seen.Clone(),
+		shares:      slices.Clone(snap.Shares),
+		rewardAddrs: make([]ckptAddrs, 0, len(snap.RewardAddrs)),
+		owners:      make([]ckptOwner, 0, len(snap.Owners)),
+		selfSets:    make([]ckptSelfIDs, 0, len(snap.SelfSets)),
 	}
-	ck := &c.head
-	for _, s := range snap.Shares {
-		ck.Shares = append(ck.Shares, ckptShare{Pool: s.Pool, Blocks: s.Blocks, Txs: s.Txs})
-	}
-	for pool, set := range snap.RewardAddrs {
+	for pool, addrs := range snap.RewardAddrs {
 		e := ckptAddrs{Pool: pool}
-		for a := range set {
+		for a := range addrs {
 			e.Addrs = append(e.Addrs, string(a))
 		}
-		sort.Strings(e.Addrs)
-		ck.RewardAddrs = append(ck.RewardAddrs, e)
+		c.rewardAddrs = append(c.rewardAddrs, e)
 	}
-	sort.Slice(ck.RewardAddrs, func(i, j int) bool { return ck.RewardAddrs[i].Pool < ck.RewardAddrs[j].Pool })
 	for a, pool := range snap.Owners {
-		ck.Owners = append(ck.Owners, ckptOwner{Addr: string(a), Pool: pool})
+		c.owners = append(c.owners, ckptOwner{Addr: string(a), Pool: pool})
 	}
-	sort.Slice(ck.Owners, func(i, j int) bool { return ck.Owners[i].Addr < ck.Owners[j].Addr })
 	for pool, ids := range snap.SelfSets {
-		e := ckptSelfSet{Pool: pool}
+		e := ckptSelfIDs{pool: pool}
 		for id := range ids {
-			e.IDs = append(e.IDs, id.String())
+			e.ids = append(e.ids, id)
 		}
-		sort.Strings(e.IDs)
-		ck.SelfSets = append(ck.SelfSets, e)
+		c.selfSets = append(c.selfSets, e)
 	}
-	sort.Slice(ck.SelfSets, func(i, j int) bool { return ck.SelfSets[i].Pool < ck.SelfSets[j].Pool })
 	return c
-}
-
-// blocksKey is where encodeTo splices the block frames into the rest of
-// the checkpoint's bytes. It can only match the key itself: every field
-// before it is a number or a string, and JSON escapes a quote in a string.
-var blocksKey = []byte(`"blocks":[`)
-
-// encodeTo writes the checkpoint file's bytes: exactly json.Marshal of the
-// full walCheckpoint plus a newline, with the retained blocks as ingest
-// frames and the ledger's rows sorted by transaction ID (chain.TxID.Less,
-// the order of their hex strings), a row's per-source sightings by source.
-// The frames are encoded and written one block at a time, so the encoding
-// never holds more than one block's frame and bytes.
-func (c *ckptState) encodeTo(w io.Writer) error {
-	ck := c.head
-	ck.Blocks = []BlockFrame{}
-	ck.FirstSeen, ck.SourceSeen = ledgerRows(c.seen)
-	head, err := json.Marshal(&ck)
-	if err != nil {
-		return err
-	}
-	i := bytes.Index(head, blocksKey)
-	if i < 0 {
-		return errors.New("checkpoint encoding has no blocks field")
-	}
-	i += len(blocksKey)
-	if _, err := w.Write(head[:i]); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for j, b := range c.blocks {
-		buf.Reset()
-		if j > 0 {
-			buf.WriteByte(',')
-		}
-		if err := enc.Encode(FrameBlock(b)); err != nil {
-			return err
-		}
-		// Encode ends each value with a newline that Marshal would not.
-		if _, err := w.Write(buf.Bytes()[:buf.Len()-1]); err != nil {
-			return err
-		}
-	}
-	if _, err := w.Write(head[i:]); err != nil {
-		return err
-	}
-	_, err = w.Write([]byte{'\n'})
-	return err
-}
-
-// ledgerRows flattens an arrival ledger into the checkpoint's two lists:
-// the merged sightings and the per-source rows, each sorted by transaction
-// ID, a row's sources by name. A list with no entry is nil, so it is left
-// out of the encoding.
-func ledgerRows(l *index.Ledger) ([]ckptSeen, []ckptSrcSeen) {
-	type rowAt struct {
-		id chain.TxID
-		r  int
-	}
-	rows := make([]rowAt, l.Len())
-	for r := range rows {
-		rows[r].id, _, _ = l.Row(r)
-		rows[r].r = r
-	}
-	slices.SortFunc(rows, func(a, b rowAt) int { return bytes.Compare(a.id[:], b.id[:]) })
-	names := l.SourceNames()
-	var seen []ckptSeen
-	var srcSeen []ckptSrcSeen
-	var arr []index.Arrival
-	for _, row := range rows {
-		id := row.id.String()
-		if _, ns, ok := l.Row(row.r); ok {
-			seen = append(seen, ckptSeen{ID: id, NS: ns})
-		}
-		arr = l.AppendArrivals(arr[:0], row.r)
-		if len(arr) == 0 {
-			continue
-		}
-		slices.SortFunc(arr, func(a, b index.Arrival) int { return strings.Compare(names[a.Source], names[b.Source]) })
-		e := ckptSrcSeen{ID: id, Sources: make([]string, len(arr)), NS: make([]int64, len(arr))}
-		for i, a := range arr {
-			e.Sources[i], e.NS[i] = names[a.Source], a.NS
-		}
-		srcSeen = append(srcSeen, e)
-	}
-	return seen, srcSeen
 }
 
 // restoreCheckpoint rebuilds a streaming set from its checkpoint: retained
@@ -1017,7 +941,7 @@ func (w *setWAL) newestCheckpoint(gens []int64) (*walCheckpoint, error) {
 			return nil, err
 		}
 		var ck walCheckpoint
-		if err := json.Unmarshal(raw, &ck); err != nil {
+		if err := ck.UnmarshalJSON(raw); err != nil {
 			log.Printf("serve: wal %s: skipping unfinished checkpoint %s: %v", w.name, filepath.Base(path), err)
 			continue
 		}

@@ -391,8 +391,59 @@ func TestWALCopyDuringCheckpointWrite(t *testing.T) {
 	}
 }
 
-// TestCheckpointEncodingIsMarshal pins the streamed checkpoint encoding to
-// the bytes json.Marshal gives the whole checkpoint, per-source ledger
+// TestWALSealDeferredWhileWriteInFlight holds a background checkpoint write
+// while the live log comes due for its next seal: the seal waits, and
+// serve.wal.seals_deferred on /v1/metrics counts the append that skipped
+// it. The first append after the write ends seals the log.
+func TestWALSealDeferredWhileWriteInFlight(t *testing.T) {
+	const every = 2
+	_, c, _ := streamFixture(t)
+	batches := mkIngestBatches(c, "live", 2)
+	if len(batches) < 7 {
+		t.Fatalf("fixture too small: %d batches", len(batches))
+	}
+	dir := t.TempDir()
+	s := reopenAt(t, dir, every)
+	deferred := func() int64 {
+		t.Helper()
+		m := decode[struct {
+			Metrics struct {
+				Counters map[string]int64 `json:"counters"`
+			} `json:"metrics"`
+		}](t, do(t, s.Handler(), "GET", "/v1/metrics"))
+		return m.Metrics.Counters["serve.wal.seals_deferred"]
+	}
+
+	// Batches 0 and 1 seal generation 1; batch 3 seals generation 2, and
+	// its checkpoint write is held.
+	feedSettled(t, s, batches[:3])
+	ck := ingestHeld(t, s, batches[3])
+	before := deferred()
+	// Batch 5 makes the live log due while the write is in flight.
+	feedBatches(t, s.Handler(), batches[4:6])
+	if got := deferred(); got <= before {
+		t.Errorf("serve.wal.seals_deferred = %d after a due append met a write in flight, was %d", got, before)
+	}
+	if exists(filepath.Join(dir, "live.wal.3")) {
+		t.Fatal("the log sealed while the previous checkpoint write was in flight")
+	}
+
+	ck.run()
+	if ck.err != nil {
+		t.Fatal(ck.err)
+	}
+	feedBatches(t, s.Handler(), batches[6:7])
+	settleWrites(t, s)
+	for _, f := range []string{"live.wal.3", "live.ckpt.3"} {
+		if !exists(filepath.Join(dir, f)) {
+			t.Errorf("%s missing: the first append after the write ended did not seal the log", f)
+		}
+	}
+}
+
+// TestCheckpointEncodingIsMarshal pins the checkpoint writer to the bytes
+// json.Marshal gives the whole checkpoint as encoding/json decodes it
+// (oracleDecodeCheckpoint, not the checkpoint reader), per-source ledger
 // included, and to determinism across captures: map iteration order never
 // reaches the file.
 func TestCheckpointEncodingIsMarshal(t *testing.T) {
@@ -421,7 +472,7 @@ func TestCheckpointEncodingIsMarshal(t *testing.T) {
 		t.Fatal("two captures of one state encode differently")
 	}
 	var ck walCheckpoint
-	if err := json.Unmarshal(a.Bytes(), &ck); err != nil {
+	if err := oracleDecodeCheckpoint(a.Bytes(), &ck); err != nil {
 		t.Fatal(err)
 	}
 	want, err := json.Marshal(&ck)
